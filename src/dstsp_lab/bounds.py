@@ -262,11 +262,6 @@ class BoundReport:
     adversarial_lower: float
     adversarial_upper: float
 
-    def to_json(self):
-        return {k: getattr(self, k) for k in
-                ("n", "gamma", "beta", "s", "alpha", "J", "delta", "lower",
-                 "upper", "adversarial_lower", "adversarial_upper")}
-
 
 def bound_report(n, delta, beta, s, alpha, gamma, J, int_g_inv):
     """Lower/upper tour-length bounds and their adversarial counterparts.

@@ -8,28 +8,11 @@ than (1+delta)*beta*lambda*n^(1/gamma) of n well-spread targets.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics as dyn
 from .errors import OutOfGrid, TooLarge
-
-
-@dataclass(frozen=True)
-class CostTrajectory:
-    trajectory: dyn.Trajectory
-    cost_length: float
-
-
-def _straight_speed(model):
-    """Speed for models whose steering between points is one straight leg."""
-    if model.model_id in ("euclidean2", "euclidean3"):
-        return model.c_pi
-    if model.model_id == "scaled_euclidean2" and not hasattr(
-            model.sigma, "values"):
-        return model.c_pi * float(model.sigma)
-    return None
 
 
 def _grid_values_at(field, pts):
@@ -62,7 +45,7 @@ def _straight_cost(model, start, goal, field, speed):
 
 
 def _leg_cost(model, start, goal, field):
-    speed = _straight_speed(model)
+    speed = dyn.closed_form_speed(model)
     if speed is not None:
         return _straight_cost(model, start, goal, field, speed)
     return cost_length(dyn.steer(model, start, goal), field)
@@ -101,11 +84,6 @@ def cost_length(traj, cost_field):
             total += cost_field.value_at(mid[:wd]) * h
             cfg = dyn.integrate(model, mid, control, h / 2.0)
     return total
-
-
-def cost_steer(model, start, goal, cost_field):
-    traj = dyn.steer(model, start, goal)
-    return CostTrajectory(traj, cost_length(traj, cost_field))
 
 
 def greedy_orienteering(model, cost_field, targets, budget, rng):

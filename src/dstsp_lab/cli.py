@@ -264,11 +264,21 @@ def _manifest_path(out):
     return stem + ".manifest.json"
 
 
+# config fields that say how a run executes, not what it computes
+_EXECUTION_FIELDS = ("threads", "out")
+
+
 def write_manifest(cfg, out_paths, input_paths=()):
-    """Config echo plus content hashes of every input and output file."""
+    """Config echo plus content hashes of every input and output file.
+
+    resolved_config hashes the experiment fields only, so runs that differ
+    in worker count or output path but compute the same reports share it.
+    """
     echo = dataclasses.asdict(cfg)
     echo["n"] = list(cfg.n)
-    canonical = json.dumps(echo, sort_keys=True, default=_json_default)
+    experiment = {k: v for k, v in echo.items()
+                  if k not in _EXECUTION_FIELDS}
+    canonical = json.dumps(experiment, sort_keys=True, default=_json_default)
     manifest = {
         "subcommand": cfg.subcommand,
         "config": echo,

@@ -270,14 +270,17 @@ class Trajectory:
             left -= dt
         return q
 
-    def waypoints(self):
-        """Configurations at the start and after each segment."""
-        out = [self.start]
-        q = self.start
-        for control, dt in self.segments:
-            q = integrate(self.model, q, control, dt)
-            out.append(q)
-        return out
+
+def closed_form_speed(model):
+    """Workspace speed of models that steer along one straight leg at a
+    constant speed, so that steering time is distance / speed; None for the
+    others."""
+    if model.model_id in ("euclidean2", "euclidean3"):
+        return model.c_pi
+    if model.model_id == "scaled_euclidean2" and not _is_grid(model.sigma):
+        return model.c_pi * (1.0 if model.sigma is None
+                             else float(model.sigma))
+    return None
 
 
 def _steer_euclidean(model, q0, q1, scale=1.0):

@@ -66,10 +66,12 @@ class HcpInstance:
 
     def __post_init__(self):
         b = self.params.branch_factor
+        children = set(range(b))
         seen = set()
         for path in self.targets:
-            if any(not (0 <= c < b) for c in path):
-                raise ValueError(f"target path {path} has index outside [0, {b})")
+            if not children.issuperset(path):
+                raise ValueError(
+                    f"target path {path} has an index not in 0 .. {b - 1}")
             key = canonical_path(path)
             if key in seen:
                 raise ValueError(f"duplicate target path {path}")
@@ -179,17 +181,17 @@ def optimal_cost_fast(instance):
     def walk(depth, group):
         nonlocal total
         buckets = defaultdict(list)
-        for path, tid in group:
-            buckets[child_at(path, depth)].append((path, tid))
+        for path in group:
+            buckets[path[depth] if depth < len(path) else 0].append(path)
         scale = s ** (-depth)
-        for child, sub in buckets.items():
+        for sub in buckets.values():
             if len(sub) * (s - 1) > s:
                 total += 2 * scale
                 walk(depth + 1, sub)
             else:
                 total += 2 * scale * len(sub)
 
-    walk(0, [(canonical_path(t), tid) for tid, t in enumerate(instance.targets)])
+    walk(0, [canonical_path(t) for t in instance.targets])
     return total
 
 

@@ -6,6 +6,8 @@ weight vector w reflects how reachable-set extent scales along each axis
 (isotropic models: all 1; the bidirectional car: 1 along the heading, 2
 laterally). Splitting axis i into s^{w_i} equal parts produces s^gamma
 children, each a valid cell at radius eps/s; gamma = sum of weights.
+child_cell builds one child at a time, so a walk down the tree builds only
+the cells it enters; build_hcs builds whole trees from it.
 
 A cover tiles a rectangular support with root cells as half-open boxes, so
 every point belongs to exactly one root (overlap mass zero). locate_path
@@ -15,13 +17,14 @@ significant).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import bounds as bnd
 from . import dynamics as dyn
-from .errors import CellNotContained, NonIntegerGamma, OutOfSupport
+from .errors import (CellNotContained, ConfigError, NonIntegerGamma,
+                     OutOfSupport)
 
 # per-axis box weights and the base half-width constants (units of eps at
 # c_pi = 1); scaled_euclidean2 shrinks by its minimum speed factor
@@ -108,38 +111,39 @@ def _child_radices(model, s):
     return tuple(s ** w for w in box_weights(model))
 
 
-def _build_cell(model, anchor, eps, depth, s, level):
+def make_cell(model, anchor, eps, depth=0):
+    """Childless cell of radius eps at anchor, in the frame of the anchor's
+    heading."""
     heading = float(anchor[2]) if model.config_dim > model.workspace_dim \
         else 0.0
-    cell_kwargs = dict(anchor=tuple(float(a) for a in anchor), eps=eps,
-                       half=half_widths(model, eps), depth=level,
-                       heading=heading)
+    return Cell(anchor=tuple(float(a) for a in anchor), eps=eps,
+                half=half_widths(model, eps), depth=depth, heading=heading)
+
+
+def child_cell(model, parent, index, s):
+    """Child of parent at a mixed-radix index (axis 0 least significant):
+    its box is one of the s^gamma equal parts of the parent's box, anchored
+    at the part's center with the parent's heading."""
+    offsets = []
+    rem = index
+    for h, r in zip(parent.half, _child_radices(model, s)):
+        t = rem % r
+        rem //= r
+        width = 2.0 * h / r
+        offsets.append(-h + (t + 0.5) * width)
+    anchor = parent.to_workspace(tuple(offsets))
+    if model.config_dim > model.workspace_dim:
+        anchor += (parent.heading,)
+    return make_cell(model, anchor, parent.eps / s, parent.depth + 1)
+
+
+def _with_subtree(model, cell, depth, s):
     if depth == 0:
-        return Cell(**cell_kwargs)
-    radices = _child_radices(model, s)
-    half = cell_kwargs["half"]
-    base = Cell(**cell_kwargs)
-    children = []
-    total = 1
-    for r in radices:
-        total *= r
-    for index in range(total):
-        rem = index
-        offsets = []
-        for axis, r in enumerate(radices):
-            t = rem % r
-            rem //= r
-            width = 2.0 * half[axis] / r
-            offsets.append(-half[axis] + (t + 0.5) * width)
-        center = base.to_workspace(tuple(offsets))
-        child_anchor = tuple(center) + ((heading,) if
-                                        model.config_dim > model.workspace_dim
-                                        else ())
-        if model.model_id == "euclidean3":
-            child_anchor = tuple(center)
-        children.append(_build_cell(model, child_anchor, eps / s,
-                                    depth - 1, s, level + 1))
-    return Cell(children=tuple(children), **cell_kwargs)
+        return cell
+    count = math.prod(_child_radices(model, s))
+    return replace(cell, children=tuple(
+        _with_subtree(model, child_cell(model, cell, i, s), depth - 1, s)
+        for i in range(count)))
 
 
 def build_hcs(model, anchor, eps0, depth, s=2):
@@ -154,7 +158,7 @@ def build_hcs(model, anchor, eps0, depth, s=2):
     if model.config_dim > model.workspace_dim and len(anchor) < 3:
         raise ValueError("anchor must carry a heading for this model")
     assert gamma == int(gamma)
-    return _build_cell(model, anchor, eps0, depth, s, 0)
+    return _with_subtree(model, make_cell(model, anchor, eps0), depth, s)
 
 
 @dataclass(frozen=True)
@@ -208,9 +212,7 @@ def build_cover(model, support, eps0, rho=0.0, s=2):
                        for i in range(len(counts)))
         anchor = center + ((heading,) if
                            model.config_dim > model.workspace_dim else ())
-        roots.append(Cell(anchor=anchor, eps=eps0,
-                          half=half_widths(model, eps0), depth=0,
-                          heading=heading))
+        roots.append(make_cell(model, anchor, eps0))
     return HcsCover(model_id=model.model_id, roots=tuple(roots), eps0=eps0,
                     rho=rho, s=int(s), gamma=int(gamma), mins=mins,
                     maxs=maxs, sides=sides, counts=counts)
@@ -220,7 +222,7 @@ def _tile_index(cover, x):
     idx = []
     for i in range(len(cover.counts)):
         xi = float(x[i])
-        if xi < cover.mins[i] or xi > cover.maxs[i]:
+        if not cover.mins[i] <= xi <= cover.maxs[i]:  # NaN fails too
             raise OutOfSupport(f"coordinate {i} outside the covered support")
         k = math.floor((xi - cover.mins[i]) / cover.sides[i])
         # the support's top edge folds into its boundary tile
@@ -320,10 +322,16 @@ def cover_to_json(cover):
 
 
 def cover_from_json(obj):
+    """Inverse of cover_to_json; ConfigError for a cover without roots or a
+    root without its anchor and box."""
     mins = tuple(obj["support"][0])
     maxs = tuple(obj["support"][1])
+    if not obj["roots"]:
+        raise ConfigError("cover JSON: 'roots' must not be empty")
     roots = []
-    for r in obj["roots"]:
+    for k, r in enumerate(obj["roots"]):
+        if "anchor" not in r or "box" not in r:
+            raise ConfigError(f"cover JSON: root {k} needs 'anchor' and 'box'")
         anchor = tuple(r["anchor"])
         half = tuple(hi for _, hi in r["box"])
         heading = anchor[2] if len(anchor) > len(half) else 0.0

@@ -8,6 +8,7 @@ tour of the occupied anchors. Exact small-instance search and a linear
 whole-support bound give the two ends every run can be checked against.
 """
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,16 +36,6 @@ def default_eps0(n, gamma, c0=1.0, eps_min=1e-6, eps_max=1.0):
     return min(max(c0 * n ** (-1.0 / gamma), eps_min), eps_max)
 
 
-def _closed_form_speed(model):
-    """Workspace speed for models whose steering time is distance / speed."""
-    if model.model_id in ("euclidean2", "euclidean3"):
-        return model.c_pi
-    if model.model_id == "scaled_euclidean2" and not hasattr(
-            model.sigma, "values"):
-        return model.c_pi * float(model.sigma)
-    return None
-
-
 def _steer_time(model, a, b, speed=None):
     if speed is not None:
         d = math.dist(a[:model.workspace_dim], b[:model.workspace_dim])
@@ -52,68 +43,210 @@ def _steer_time(model, a, b, speed=None):
     return dyn.steer(model, a, b).duration
 
 
+def _norm_function(pts):
+    """norm(i, j), the Euclidean distance between pts[i] and pts[j] (two or
+    three coordinates), rounded as numpy's row-wise norm rounds it: squares
+    summed in axis order, then one square root.
+
+    math.dist and math.hypot round differently; so does numpy's norm of a
+    single vector, which takes a BLAS dot with fused multiply-adds.
+    """
+    cols = [list(c) for c in zip(*pts)]
+    if len(cols) == 2:
+        xs, ys = cols
+
+        def norm(i, j):
+            dx = xs[i] - xs[j]
+            dy = ys[i] - ys[j]
+            return math.sqrt(dx * dx + dy * dy)
+    else:
+        xs, ys, zs = cols
+
+        def norm(i, j):
+            dx = xs[i] - xs[j]
+            dy = ys[i] - ys[j]
+            dz = zs[i] - zs[j]
+            return math.sqrt(dx * dx + dy * dy + dz * dz)
+    return norm
+
+
+# relative slack on lower bounds, far above the rounding of the distances
+_BOUND_SLACK = 1e-9
+
+
+class _Buckets:
+    """Anchor indices in a uniform grid of cubic buckets, about one anchor
+    per bucket, for the fixed-radius near-neighbour search of Bentley, "Fast
+    algorithms for geometric traveling salesman problems" (1992)."""
+
+    def __init__(self, pts, members):
+        members = list(members)
+        dim = len(pts[0])
+        self.lo = [min(pts[i][a] for i in members) for a in range(dim)]
+        ext = [max(pts[i][a] for i in members) - self.lo[a]
+               for a in range(dim)]
+        top = max(ext)
+        self.side = top / len(members) ** (1.0 / dim) if top > 0.0 else 1.0
+        self.counts = [int(e / self.side) + 1 for e in ext]
+        self.size = len(members)
+        self.cells = {}
+        self.home = {}
+        for i in members:
+            key = self.key(pts[i])
+            self.cells.setdefault(key, []).append(i)
+            self.home[i] = key
+
+    def key(self, p):
+        return tuple(math.floor((x - lo) / self.side)
+                     for x, lo in zip(p, self.lo))
+
+    def remove(self, i):
+        self.cells[self.home.pop(i)].remove(i)
+
+    def ring(self, center, r):
+        """Members of the buckets at Chebyshev distance r from center, or
+        None when no bucket lies that far."""
+        if r == 0:
+            return self.cells.get(center, ())
+        if all(k - r < 0 and k + r >= n for k, n in zip(center, self.counts)):
+            return None
+        out = []
+        for axis in range(len(center)):
+            # shell part whose first axis at offset +-r is this one
+            ranges = []
+            for a, (k, n) in enumerate(zip(center, self.counts)):
+                if a == axis:
+                    ranges.append([v for v in (k - r, k + r) if 0 <= v < n])
+                else:
+                    w = r - 1 if a < axis else r
+                    ranges.append(range(max(k - w, 0), min(k + w, n - 1) + 1))
+            for key in itertools.product(*ranges):
+                out.extend(self.cells.get(key, ()))
+        return out
+
+
+def _nearest_neighbour_order(pts, norm, cost, per_length):
+    """Greedy open path from anchor 0: the cheapest remaining anchor next,
+    ties to the lower index.
+
+    cost(i, j) is the exact cost, or None when the cost is norm(i, j)
+    itself; per_length * norm(i, j) never exceeds it. Buckets are searched
+    ring by ring until the unseen rings, so bounded, cannot beat the best
+    cost. The grid is rebuilt when the remaining anchors fall to a quarter
+    of those it was built on, so late searches do not walk empty buckets.
+    """
+    m = len(pts)
+    order = [0]
+    grid = _Buckets(pts, range(1, m))
+    while len(order) < m:
+        if 4 * (m - len(order)) <= grid.size:
+            grid = _Buckets(pts, grid.home)
+        last = order[-1]
+        center = grid.key(pts[last])
+        best = (math.inf, m)
+        for r in itertools.count():
+            # buckets of ring r or beyond lie (r - 1) sides away or more
+            reach = best[0] * (1.0 + _BOUND_SLACK)
+            if (r - 1) * grid.side * per_length > reach:
+                break
+            found = grid.ring(center, r)
+            if found is None:
+                break
+            for j in found:
+                c = norm(last, j)
+                if cost is not None:
+                    if c * per_length > reach:
+                        continue
+                    c = cost(last, j)
+                if (c, j) < best:
+                    best = (c, j)
+                    reach = c * (1.0 + _BOUND_SLACK)
+        grid.remove(best[1])
+        order.append(best[1])
+    return order
+
+
+def _two_opt(order, leg, exact=None):
+    """Windowed 2-opt on the open path, in place: up to four passes over
+    the reversals of order[i+1 .. j], j < i + 10, first improvement taken.
+
+    exact(i, j), where given, decides the comparisons that leg's rounding
+    leaves too close to call.
+    """
+    m = len(order)
+    edge = [leg(order[k], order[k + 1]) for k in range(m - 1)]
+    for _ in range(4):
+        improved = False
+        for i in range(m - 1):
+            a = order[i]
+            for j in range(i + 2, min(i + 10, m - 1)):
+                # the reversal swaps edges (i, i+1), (j, j+1) for (i, j),
+                # (i+1, j+1)
+                b, c, d = order[i + 1], order[j], order[j + 1]
+                before = edge[i] + edge[j]
+                ac = leg(a, c)
+                bd = leg(b, d)
+                after = ac + bd
+                better = after < before - 1e-15
+                if exact is not None and abs(after - before + 1e-15) \
+                        <= 1e-14 * (before + after):
+                    better = exact(a, c) + exact(b, d) < \
+                        exact(a, b) + exact(c, d) - 1e-15
+                if better:
+                    order[i + 1:j + 1] = reversed(order[i + 1:j + 1])
+                    edge[i + 1:j] = reversed(edge[i + 1:j])
+                    edge[i], edge[j] = ac, bd
+                    improved = True
+        if not improved:
+            break
+
+
 def roots_tour(model, anchors):
     """(ordered anchors, realized path time): nearest neighbor then 2-opt.
 
     The realized time upper-bounds the optimal open tour through the anchors,
-    which is all the cover-level term of the time bound needs.
+    which is all the cover-level term of the time bound needs. Models with a
+    closed-form distance order by Euclidean norm and report legs as numpy's
+    vector norm / speed; the others use steer times.
     """
     m = len(anchors)
     if m == 0:
         raise ValueError("at least one anchor required")
     if m == 1:
         return [anchors[0]], 0.0
-    speed = _closed_form_speed(model)
+    pts = [tuple(float(v) for v in a[:model.workspace_dim]) for a in anchors]
+    norm = _norm_function(pts)
+    speed = dyn.closed_form_speed(model)
     if speed is not None:
-        pts = np.asarray([a[:model.workspace_dim] for a in anchors])
-        live = np.ones(m, dtype=bool)
-        order = [0]
-        live[0] = False
-        while len(order) < m:
-            d = np.linalg.norm(pts - pts[order[-1]], axis=1)
-            d[~live] = np.inf
-            nxt = int(np.argmin(d))
-            order.append(nxt)
-            live[nxt] = False
+        arr = np.asarray(pts)
 
-        def dist(i, j):
-            return float(np.linalg.norm(pts[i] - pts[j])) / speed
+        def leg(i, j):
+            return norm(i, j) / speed
+
+        def exact(i, j):
+            # the legs reported; plain-float legs can differ from them by a
+            # few units in the last place, which at near ties is enough to
+            # flip a 2-opt comparison
+            return float(np.linalg.norm(arr[i] - arr[j])) / speed
+
+        order = _nearest_neighbour_order(pts, norm, None, 1.0)
+        _two_opt(order, leg, exact)
     else:
         cache = {}
 
-        def dist(i, j):
+        def leg(i, j):
             key = (i, j) if i <= j else (j, i)
-            if key not in cache:
-                cache[key] = _steer_time(model, anchors[key[0]],
-                                         anchors[key[1]])
-            return cache[key]
+            t = cache.get(key)
+            if t is None:
+                t = cache[key] = dyn.steer(model, anchors[key[0]],
+                                           anchors[key[1]]).duration
+            return t
 
-        order = [0]
-        remaining = set(range(1, m))
-        while remaining:
-            last = order[-1]
-            nxt = min(remaining, key=lambda j: (dist(last, j), j))
-            order.append(nxt)
-            remaining.discard(nxt)
-
-    # windowed 2-opt on the open path: try reversing short spans
-    window = 10
-    for _ in range(4):
-        improved = False
-        for i in range(m - 1):
-            for j in range(i + 1, min(i + window, m - 1)):
-                # reversing order[i+1 .. j] touches edges (i,i+1) and (j,j+1)
-                before = dist(order[i], order[i + 1])
-                after = dist(order[i], order[j])
-                if j + 1 < m:
-                    before += dist(order[j], order[j + 1])
-                    after += dist(order[i + 1], order[j + 1])
-                if after < before - 1e-15:
-                    order[i + 1:j + 1] = reversed(order[i + 1:j + 1])
-                    improved = True
-        if not improved:
-            break
-    time = sum(dist(order[k], order[k + 1]) for k in range(m - 1))
+        exact = leg
+        order = _nearest_neighbour_order(pts, norm, leg,
+                                         1.0 / model.speed_limit())
+        _two_opt(order, leg)
+    time = sum(exact(order[k], order[k + 1]) for k in range(m - 1))
     return [anchors[i] for i in order], float(time)
 
 
@@ -140,9 +273,9 @@ def _realize_root(model, cover, root_idx, ids_points, depth):
                            scale=cover.s)
     plan = hcp.construct_optimal_plan(hcp.HcpInstance(params, tuple(paths)))
 
-    tree = hcs.build_hcs(model, root_anchor, cover.eps0, depth, s=cover.s)
     by_id = dict(ids_points)
-    stack = [tree]
+    # cells are built as the plan enters them
+    stack = [hcs.make_cell(model, root_anchor, cover.eps0)]
     segments = []
     visits = []
     t = 0.0
@@ -154,7 +287,7 @@ def _realize_root(model, cover, root_idx, ids_points, depth):
 
     for action in plan:
         if action[0] == "down":
-            child = stack[-1].children[action[1]]
+            child = hcs.child_cell(model, stack[-1], action[1], cover.s)
             push(dyn.steer(model, stack[-1].anchor, child.anchor))
             stack.append(child)
         elif action[0] == "up":
@@ -250,10 +383,21 @@ def solve_dstsp(model, cover, targets, threads=1, with_info=False):
 
 
 def tour_visits_all(tour, targets, tol=1e-6):
-    """Every target reached: workspace distance at its visit time <= tol."""
+    """Every target reached: workspace distance at its visit time <= tol.
+
+    One forward pass over the segments, visits taken in time order.
+    """
+    traj = tour.trajectory
+    segments = traj.segments
+    q, t0, k = traj.start, 0.0, 0   # q: configuration at time t0, segment k
     seen = set()
-    for tid, vt in tour.visited:
-        cfg = tour.trajectory.configuration_at(vt)
+    for tid, vt in sorted(tour.visited, key=lambda v: v[1]):
+        while k < len(segments) and vt - t0 > segments[k][1]:
+            q = dyn.integrate(traj.model, q, *segments[k])
+            t0 += segments[k][1]
+            k += 1
+        cfg = q if k == len(segments) else dyn.integrate(
+            traj.model, q, segments[k][0], max(vt - t0, 0.0))
         d = math.dist(cfg[:len(targets[tid])], targets[tid])
         if d > tol:
             return False
@@ -285,7 +429,7 @@ def exact_small_tsp(model, targets, headings=1):
         p = tuple(float(v) for v in targets[i])
         return p + (angles[h],) if with_heading else p
 
-    speed = _closed_form_speed(model)
+    speed = dyn.closed_form_speed(model)
     cost = {}
     for i in range(n):
         for hi in range(h_count):
@@ -330,7 +474,7 @@ def trivial_bound(n, model, support, seed=0):
     mins = np.asarray(support[0], dtype=float)
     maxs = np.asarray(support[1], dtype=float)
     pts = rng.uniform(mins, maxs, size=(512, len(mins)))
-    speed = _closed_form_speed(model)
+    speed = dyn.closed_form_speed(model)
     if speed is not None:
         diff = pts[:, None, :] - pts[None, :, :]
         c = float(np.linalg.norm(diff, axis=2).max()) / speed

@@ -308,6 +308,19 @@ def test_manifest_written_and_deterministic(tmp_path):
     assert man_path.read_bytes() == first
 
 
+def test_manifest_config_digest_ignores_execution_fields(tmp_path):
+    digests = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}" / "r.csv"
+        out.parent.mkdir()
+        assert _main(["run-dstsp", "--n", "64", "--seeds", "1",
+                      "--threads", threads, "--out", out]) == 0
+        man = json.loads((out.parent / "r.manifest.json").read_text())
+        assert man["config"]["threads"] == threads
+        digests.append(man["inputs"]["resolved_config"])
+    assert digests[0] == digests[1]
+
+
 def test_manifest_hashes_instance_input(tmp_path):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({"b": 2, "s": 2, "targets": [[0], [1]]}))

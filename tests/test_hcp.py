@@ -238,6 +238,17 @@ def test_star_bound_rejects_small_gamma():
         hcp.hcp_star_bound(4, hcp.HcpParams(branch_factor=3, scale=2))
 
 
+# ----------------------------------------------------------- instance checks
+
+def test_instance_rejects_bad_and_duplicate_paths():
+    for bad in ([0, 4], [-1], [1.5], [0, math.nan]):
+        with pytest.raises(ValueError, match="index"):
+            inst(4, 2, [[0, 1], bad])
+    # trailing zeros are the implicit continuation: the same path
+    with pytest.raises(ValueError, match="duplicate"):
+        inst(4, 2, [[0, 1], [0, 1, 0]])
+
+
 # ------------------------------------------------------------ serialization
 
 def test_instance_json_roundtrip():

@@ -8,8 +8,8 @@ import pytest
 from dstsp_lab import bounds as bnd
 from dstsp_lab import dynamics as dyn
 from dstsp_lab import hcs
-from dstsp_lab.errors import (CellNotContained, NonIntegerGamma,
-                              OutOfSupport)
+from dstsp_lab.errors import (CellNotContained, ConfigError,
+                              NonIntegerGamma, OutOfSupport)
 
 
 def unit_rng(seed=0):
@@ -214,6 +214,9 @@ def test_locate_out_of_support():
         hcs.locate_path(cov, (1.5, 0.5), 1)
     with pytest.raises(OutOfSupport):
         hcs.locate_path(cov, (0.5, -0.01), 1)
+    for bad in [(math.nan, 0.5), (0.5, math.nan)]:
+        with pytest.raises(OutOfSupport):
+            hcs.locate_root(cov, bad)
 
 
 @pytest.mark.parametrize("model,support,eps0", [
@@ -320,3 +323,15 @@ def test_cover_json_roundtrip():
     for _ in range(20):
         x = tuple(rng.uniform(0.0, 1.0, size=2))
         assert hcs.locate_path(back, x, 2) == hcs.locate_path(cov, x, 2)
+
+
+def test_cover_json_without_roots_is_config_error():
+    obj = hcs.cover_to_json(hcs.build_cover(E2, ((0.0, 0.0), (1.0, 1.0)),
+                                            0.5))
+    with pytest.raises(ConfigError, match="roots"):
+        hcs.cover_from_json(dict(obj, roots=[]))
+    for key in ("anchor", "box"):
+        roots = [dict(r) for r in obj["roots"]]
+        del roots[1][key]
+        with pytest.raises(ConfigError, match="root 1"):
+            hcs.cover_from_json(dict(obj, roots=roots))

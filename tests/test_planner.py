@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -61,8 +62,9 @@ def test_coincident_targets_grouped():
 
 def test_target_outside_cover():
     cov = hcs.build_cover(E2, SQ, 0.5)
-    with pytest.raises(TargetOutsideCover):
-        planner.solve_dstsp(E2, cov, [(0.5, 0.5), (1.5, 0.5)])
+    for bad in [(1.5, 0.5), (math.nan, 0.5), (0.5, math.inf)]:
+        with pytest.raises(TargetOutsideCover):
+            planner.solve_dstsp(E2, cov, [(0.5, 0.5), bad])
 
 
 def test_asymmetric_model_rejected():
@@ -80,6 +82,15 @@ def test_completeness_and_duration_consistency():
     assert tour.trajectory.duration == pytest.approx(tour.total_time,
                                                      abs=1e-9)
     assert len({tid for tid, _ in tour.visited}) == len(pts)
+
+
+def test_completeness_check_at_large_n_is_one_pass():
+    tour, pts, _ = solve_uniform(4096, 6)
+    start = time.perf_counter()
+    assert planner.tour_visits_all(tour, pts)
+    # one forward pass: well under a second where a rescan per visit
+    # takes minutes
+    assert time.perf_counter() - start < 2.0
 
 
 def test_visit_check_rejects_bad_times():

@@ -1,0 +1,246 @@
+"""Root ordering and lazily built cells against frozen reference versions.
+
+reference_roots_tour and reference_build_hcs are the straightforward
+implementations that planner.roots_tour and hcs.child_cell replaced: a full
+nearest-neighbour scan with numpy norms (closed-form models) or one steer per
+remaining anchor (others), a 2-opt on numpy norms, and an eagerly built cell
+tree. The fast versions must agree with them exactly, not approximately:
+tours are reported bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dstsp_lab import bounds as bnd
+from dstsp_lab import dynamics as dyn
+from dstsp_lab import hcs
+from dstsp_lab import planner
+
+SQ = ((0.0, 0.0), (1.0, 1.0))
+CUBE = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+
+
+def _speed_field():
+    vals = np.ones((16, 16))
+    vals[8:, :] = 2.0
+    return bnd.GridField((0.0, 0.0), 1.0 / 16, vals)
+
+
+MODELS = {
+    "euclidean2": dyn.make_model({"model": "euclidean2"}),
+    "euclidean3": dyn.make_model({"model": "euclidean3", "c_pi": 1.5}),
+    "scaled_constant": dyn.make_model({"model": "scaled_euclidean2",
+                                       "sigma": 2.0}),
+    "scaled_grid": dyn.make_model({"model": "scaled_euclidean2",
+                                   "sigma": _speed_field()}),
+    "reeds_shepp": dyn.make_model({"model": "reeds_shepp"}),
+}
+
+
+def reference_roots_tour(model, anchors):
+    """planner.roots_tour as it was before buckets and plain floats."""
+    m = len(anchors)
+    if m == 0:
+        raise ValueError("at least one anchor required")
+    if m == 1:
+        return [anchors[0]], 0.0
+    speed = None
+    if model.model_id in ("euclidean2", "euclidean3"):
+        speed = model.c_pi
+    elif model.model_id == "scaled_euclidean2" and not hasattr(
+            model.sigma, "values"):
+        speed = model.c_pi * float(model.sigma)
+    if speed is not None:
+        pts = np.asarray([a[:model.workspace_dim] for a in anchors])
+        live = np.ones(m, dtype=bool)
+        order = [0]
+        live[0] = False
+        while len(order) < m:
+            d = np.linalg.norm(pts - pts[order[-1]], axis=1)
+            d[~live] = np.inf
+            nxt = int(np.argmin(d))
+            order.append(nxt)
+            live[nxt] = False
+
+        def dist(i, j):
+            return float(np.linalg.norm(pts[i] - pts[j])) / speed
+    else:
+        cache = {}
+
+        def dist(i, j):
+            key = (i, j) if i <= j else (j, i)
+            if key not in cache:
+                cache[key] = dyn.steer(model, anchors[key[0]],
+                                       anchors[key[1]]).duration
+            return cache[key]
+
+        order = [0]
+        remaining = set(range(1, m))
+        while remaining:
+            last = order[-1]
+            nxt = min(remaining, key=lambda j: (dist(last, j), j))
+            order.append(nxt)
+            remaining.discard(nxt)
+
+    window = 10
+    for _ in range(4):
+        improved = False
+        for i in range(m - 1):
+            for j in range(i + 1, min(i + window, m - 1)):
+                before = dist(order[i], order[i + 1])
+                after = dist(order[i], order[j])
+                if j + 1 < m:
+                    before += dist(order[j], order[j + 1])
+                    after += dist(order[i + 1], order[j + 1])
+                if after < before - 1e-15:
+                    order[i + 1:j + 1] = reversed(order[i + 1:j + 1])
+                    improved = True
+        if not improved:
+            break
+    time = sum(dist(order[k], order[k + 1]) for k in range(m - 1))
+    return [anchors[i] for i in order], float(time)
+
+
+def reference_build_hcs(model, anchor, eps, depth, s, level=0):
+    """hcs.build_hcs as it was before cells were built one child at a time."""
+    heading = float(anchor[2]) if model.config_dim > model.workspace_dim \
+        else 0.0
+    kwargs = dict(anchor=tuple(float(a) for a in anchor), eps=eps,
+                  half=hcs.half_widths(model, eps), depth=level,
+                  heading=heading)
+    base = hcs.Cell(**kwargs)
+    if depth == 0:
+        return base
+    radices = tuple(s ** w for w in hcs.box_weights(model))
+    children = []
+    for index in range(math.prod(radices)):
+        rem = index
+        offsets = []
+        for axis, r in enumerate(radices):
+            t = rem % r
+            rem //= r
+            width = 2.0 * kwargs["half"][axis] / r
+            offsets.append(-kwargs["half"][axis] + (t + 0.5) * width)
+        center = base.to_workspace(tuple(offsets))
+        child_anchor = tuple(center) + (
+            (heading,) if model.config_dim > model.workspace_dim else ())
+        children.append(reference_build_hcs(model, child_anchor, eps / s,
+                                            depth - 1, s, level + 1))
+    return hcs.Cell(children=tuple(children), **kwargs)
+
+
+def _assert_same_tour(model, anchors):
+    got = planner.roots_tour(model, anchors)
+    want = reference_roots_tour(model, anchors)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+
+
+def _lattice_anchors(model, eps0, fraction, seed):
+    """Anchors of a random share of a cover's roots, in root order, as
+    solve_dstsp passes them."""
+    support = CUBE if model.workspace_dim == 3 else SQ
+    cover = hcs.build_cover(model, support, eps0)
+    rng = np.random.default_rng(seed)
+    keep = np.flatnonzero(rng.random(cover.m) < fraction)
+    return [cover.roots[int(k)].anchor for k in keep]
+
+
+def _random_anchors(model, m, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 1.0, size=(m, model.workspace_dim))
+    if model.config_dim > model.workspace_dim:
+        heads = rng.uniform(0.0, 2.0 * math.pi, size=(m, 1))
+        pts = np.hstack([pts, heads])
+    return [tuple(float(v) for v in p) for p in pts]
+
+
+# (eps0, share of roots kept) per model: a few hundred lattice anchors at most
+_LATTICES = {
+    "euclidean2": [(0.05, 0.6), (0.02, 0.3), (0.3, 1.0)],
+    "euclidean3": [(0.15, 0.5), (0.4, 1.0)],
+    "scaled_constant": [(0.1, 0.6), (0.04, 0.3)],
+    "scaled_grid": [(0.1, 0.5), (0.2, 1.0)],
+    "reeds_shepp": [(0.4, 0.5), (0.5, 1.0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_roots_tour_matches_reference_on_cover_lattices(name):
+    model = MODELS[name]
+    for k, (eps0, share) in enumerate(_LATTICES[name]):
+        anchors = _lattice_anchors(model, eps0, share, seed=k)
+        assert len(anchors) >= 2
+        _assert_same_tour(model, anchors)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_roots_tour_matches_reference_on_random_anchors(name):
+    model = MODELS[name]
+    sizes = (40, 80) if name in ("scaled_grid", "reeds_shepp") else (60, 400)
+    for seed, m in enumerate(sizes):
+        _assert_same_tour(model, _random_anchors(model, m, seed))
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_roots_tour_matches_reference_on_one_to_three_anchors(name):
+    model = MODELS[name]
+    for m in (1, 2, 3):
+        for seed in range(3):
+            _assert_same_tour(model, _random_anchors(model, m, 10 * m + seed))
+
+
+def test_roots_tour_matches_reference_on_collinear_and_repeated_anchors():
+    model = MODELS["euclidean2"]
+    line = [(0.1 * i, 0.5) for i in (3, 0, 7, 1, 9, 2)]
+    _assert_same_tour(model, line)
+    _assert_same_tour(model, [(0.5, 0.5)] * 4 + [(0.25, 0.5)])
+
+
+def test_roots_tour_matches_reference_on_coarse_lattice_ties():
+    # long legs with exactly equal 2-opt alternatives: plain-float legs
+    # alone decide these reversals differently from numpy's legs
+    model = MODELS["euclidean2"]
+    for h, cells in [
+            (7.9, [(0, 0), (3, 5), (6, 6), (1, 1), (5, 3)]),
+            (11.3, [(2, 6), (2, 4), (1, 5), (4, 6), (0, 5)]),
+            (5.3, [(4, 3), (5, 6), (1, 5), (4, 5), (4, 2), (0, 4)])]:
+        _assert_same_tour(model, [(i * h, j * h) for i, j in cells])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                min_size=1, max_size=40, unique=True),
+       st.sampled_from([0.05, 0.1, 1.0 / 3.0, 7.9]))
+def test_roots_tour_order_matches_reference_property(cells, h):
+    # small lattices, where equal distances are the rule
+    model = MODELS["euclidean2"]
+    anchors = [((i + 0.5) * h, (j + 0.5) * h) for i, j in cells]
+    _assert_same_tour(model, anchors)
+
+
+def _same_cells(a, b):
+    assert (a.anchor, a.half, a.depth, a.eps, a.heading) == \
+        (b.anchor, b.half, b.depth, b.eps, b.heading)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_child_cell_matches_reference_tree_at_depth_three(name):
+    model = MODELS[name]
+    anchor = (0.4, 0.55, 0.3)[:model.config_dim]
+    depth = 3
+    ref = reference_build_hcs(model, anchor, 0.3, depth, 2)
+    built = hcs.build_hcs(model, anchor, 0.3, depth)
+
+    def walk(want, got, lazy):
+        _same_cells(want, got)
+        _same_cells(want, lazy)
+        assert len(got.children) == len(want.children)
+        for i, child in enumerate(want.children):
+            walk(child, got.children[i], hcs.child_cell(model, lazy, i, 2))
+
+    walk(ref, built, hcs.make_cell(model, anchor, 0.3))
