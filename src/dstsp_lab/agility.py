@@ -14,7 +14,6 @@ the supremum cheaply).
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +125,7 @@ def cell_agility(model, center, eps0, n_samples, base_seed, cell_key,
 
 
 def agility_field(model, grid, eps, n_samples, rng, resolution_fn=None,
-                  headings=8, threads=1):
+                  headings=8):
     """Per-cell agility over a workspace grid.
 
     grid supplies the geometry (origin, cell_size, dims); its values are
@@ -137,31 +136,20 @@ def agility_field(model, grid, eps, n_samples, rng, resolution_fn=None,
         raise ValueError("agility fields are built over planar grids")
     base_seed = int(rng.integers(1 << 63))
     dims = grid.dims
-    cells = [(i, j) for i in range(dims[0]) for j in range(dims[1])]
-
-    def work(cell):
-        i, j = cell
-        cx = grid.origin[0] + (i + 0.5) * grid.cell_size
-        cy = grid.origin[1] + (j + 0.5) * grid.cell_size
-        best, _ = cell_agility(model, (cx, cy), eps, n_samples, base_seed,
-                               (i, j), resolution_fn=resolution_fn,
-                               headings=headings)
-        return cell, (cx, cy), best
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, cells))
-    else:
-        results = [work(c) for c in cells]
-
     values = np.empty(dims)
     records = []
-    for (i, j), (cx, cy), best in results:
-        values[i, j] = best.g_hat
-        for e, v in zip(best.epsilons, best.volumes):
-            records.append({
-                "model": model.model_id, "x": cx, "y": cy, "eps": e,
-                "volume": v, "gamma_hat": best.gamma_hat,
-                "g_hat": best.g_hat, "r2": best.fit_r2,
-            })
+    for i in range(dims[0]):
+        for j in range(dims[1]):
+            cx = grid.origin[0] + (i + 0.5) * grid.cell_size
+            cy = grid.origin[1] + (j + 0.5) * grid.cell_size
+            best, _ = cell_agility(model, (cx, cy), eps, n_samples, base_seed,
+                                   (i, j), resolution_fn=resolution_fn,
+                                   headings=headings)
+            values[i, j] = best.g_hat
+            for e, v in zip(best.epsilons, best.volumes):
+                records.append({
+                    "model": model.model_id, "x": cx, "y": cy, "eps": e,
+                    "volume": v, "gamma_hat": best.gamma_hat,
+                    "g_hat": best.g_hat, "r2": best.fit_r2,
+                })
     return GridField(grid.origin, grid.cell_size, values), records

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from . import dynamics as dyn
+from . import planner
 from .errors import OutOfGrid, TooLarge
 
 
@@ -128,9 +129,10 @@ def greedy_orienteering(model, cost_field, targets, budget, rng):
 def brute_cbo_small(model, cost_field, targets, budget):
     """Exact maximum target count under the budget, over all visit orders.
 
-    Dynamic program on (visited subset, last target) holding the cheapest
-    cost achieving that state; start configuration free, so singletons cost
-    zero. Exact within the steering class used for the legs.
+    planner.subset_layers holds the cheapest cost of each (visited subset,
+    last target) state within the budget; the start is free, so singletons
+    cost zero, and the count is the number of nonempty layers. Exact within
+    the steering class used for the legs.
     """
     if budget < 0.0:
         raise ValueError("budget must be nonnegative")
@@ -139,33 +141,9 @@ def brute_cbo_small(model, cost_field, targets, budget):
         return 0
     if n > 8:
         raise TooLarge(f"exhaustive search capped at 8 targets, got {n}")
-    cost = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                cost[i, j] = _leg_cost(model, targets[i], targets[j],
-                                       cost_field)
-    dp = {(1 << i, i): 0.0 for i in range(n)}
-    best = 1
-    frontier = dict(dp)
-    while frontier:
-        new = {}
-        for (mask, last), spent in frontier.items():
-            for j in range(n):
-                if mask & (1 << j):
-                    continue
-                c = spent + cost[last, j]
-                if c > budget + 1e-12:
-                    continue
-                key = (mask | (1 << j), j)
-                if c < new.get(key, math.inf) and c < dp.get(key, math.inf):
-                    new[key] = c
-        for key, val in new.items():
-            if val < dp.get(key, math.inf):
-                dp[key] = val
-                best = max(best, bin(key[0]).count("1"))
-        frontier = new
-    return best
+    cost = [[_leg_cost(model, targets[i], targets[j], cost_field)
+             if i != j else 0.0 for j in range(n)] for i in range(n)]
+    return len(planner.subset_layers(range(n), cost, budget))
 
 
 def cbo_bound(beta, budget, n, gamma, delta):

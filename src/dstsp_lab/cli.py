@@ -3,8 +3,9 @@
 Every subcommand resolves an ExperimentConfig (defaults, then a JSON config
 file, then explicit flags, flags winning), runs its experiment with seeded
 substreams, and writes a delimited report plus a JSON run manifest. Outputs
-are a pure function of (config, seed): same inputs give byte-identical files
-regardless of thread count.
+are a pure function of (config, seed): same inputs give byte-identical files.
+Experiments run serially; the threads field is validated and echoed in the
+manifest as an execution field but starts no workers.
 """
 
 import argparse
@@ -15,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,13 +302,34 @@ def write_manifest(cfg, out_paths, input_paths=()):
 _GRID_DIMS = (64, 64)
 
 
-def _sigma_at(model, x, y):
-    sigma = model.sigma
-    if sigma is None:
-        return 1.0
-    if hasattr(sigma, "value_at"):
-        return float(sigma.value_at((x, y)))
-    return float(sigma)
+def _extra(cfg, key, default, convert):
+    """extras[key], or default when absent, passed through convert; a value
+    convert rejects is a ConfigError naming the field."""
+    try:
+        return convert(cfg.extras.get(key, default))
+    except (IndexError, TypeError, ValueError) as err:
+        raise ConfigError(f"field 'extras.{key}': {err}") from err
+
+
+def _floats(vals):
+    return tuple(float(v) for v in vals)
+
+
+def _grid_shape(vals):
+    shape = tuple(int(v) for v in vals)
+    if len(shape) != 2 or min(shape) < 1:
+        raise ValueError(f"need two positive cell counts, got {vals!r}")
+    return shape
+
+
+def _density_file(path):
+    """Normalized density from a grid-field file; a file that does not parse
+    as one is a ConfigError naming the density field."""
+    try:
+        return bnd.normalize_density(bnd.field_from_file(path))
+    except (OSError, KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"field 'density': {path}: "
+                          f"{type(err).__name__}: {err}") from err
 
 
 def _closed_form_g(model, grid, cfg):
@@ -317,16 +338,19 @@ def _closed_form_g(model, grid, cfg):
     if mid == "euclidean2":
         vals = np.full(grid.dims, math.pi * model.c_pi ** 2)
     elif mid == "scaled_euclidean2":
+        sigma = model.sigma   # make_model fills in 1.0 when absent
         vals = np.empty(grid.dims)
         for i in range(grid.dims[0]):
             for j in range(grid.dims[1]):
                 cx = grid.origin[0] + (i + 0.5) * grid.cell_size
                 cy = grid.origin[1] + (j + 0.5) * grid.cell_size
-                vals[i, j] = math.pi * (model.c_pi * _sigma_at(model, cx, cy)) ** 2
+                s = sigma.value_at((cx, cy)) if hasattr(sigma, "value_at") \
+                    else float(sigma)
+                vals[i, j] = math.pi * (model.c_pi * s) ** 2
     elif mid == "reeds_shepp":
         # No closed form: measure once at the grid center and broadcast
         # (the model is spatially homogeneous).
-        n_samples = int(cfg.extras.get("g_samples", 3000))
+        n_samples = _extra(cfg, "g_samples", 3000, int)
         cx = grid.origin[0] + grid.dims[0] * grid.cell_size / 2.0
         cy = grid.origin[1] + grid.dims[1] * grid.cell_size / 2.0
         best, _ = agility.cell_agility(model, (cx, cy), 0.05, n_samples,
@@ -354,8 +378,6 @@ def _density_field(cfg, g_field):
     if name == "prop_g":
         return bnd.normalize_density(g_field.with_values(
             np.array(g_field.values, dtype=float, copy=True)))
-    if os.path.exists(name):
-        return bnd.normalize_density(bnd.field_from_file(name))
     raise ConfigError(
         f"field 'density': {name!r} is neither a preset "
         f"{DENSITY_PRESETS} nor an existing file")
@@ -399,7 +421,7 @@ def _cmd_run_dstsp(cfg, model=None, densities=None):
     loaded = None
     if (len(names) == 1 and names[0] not in DENSITY_PRESETS
             and os.path.exists(names[0])):
-        loaded = bnd.normalize_density(bnd.field_from_file(names[0]))
+        loaded = _density_file(names[0])
         grid = bnd.GridField(loaded.origin, loaded.cell_size,
                              np.zeros(loaded.dims))
     else:
@@ -413,7 +435,7 @@ def _cmd_run_dstsp(cfg, model=None, densities=None):
             dataclasses.replace(cfg, density=name), g_field)
     support = _support(g_field)
 
-    tasks = []
+    rows = []
     for name in names:
         f = fields[name]
         j_val = bnd.interaction_integral(f, g_field, gamma)
@@ -422,27 +444,17 @@ def _cmd_run_dstsp(cfg, model=None, densities=None):
                 else planner.default_eps0(n, gamma)
             cover = hcs.build_cover(model, support, eps0, s=2)
             alpha = _measured_alpha(cfg, model, cover, g_field)
+            scale = n ** (1.0 - 1.0 / gamma) * j_val
             for trial in range(cfg.seeds):
-                tasks.append((name, f, j_val, n, eps0, cover, alpha, trial))
-
-    def work(task):
-        name, f, j_val, n, eps0, cover, alpha, trial = task
-        rng = make_rng(cfg.seed, "run-dstsp", name, n, trial)
-        pts = bnd.sample_density(f, n, rng)
-        tour = planner.solve_dstsp(model, cover, pts, threads=1)
-        scale = n ** (1.0 - 1.0 / gamma) * j_val
-        return {
-            "seed": trial, "model": model.model_id, "density": name,
-            "n": n, "tour_time": tour.total_time, "J": j_val,
-            "ratio": tour.total_time / scale if scale > 0 else 0.0,
-            "eps0": eps0, "alpha_hat": alpha,
-        }
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(work, tasks))
-    else:
-        rows = [work(t) for t in tasks]
+                rng = make_rng(cfg.seed, "run-dstsp", name, n, trial)
+                pts = bnd.sample_density(f, n, rng)
+                tour = planner.solve_dstsp(model, cover, pts)
+                rows.append({
+                    "seed": trial, "model": model.model_id, "density": name,
+                    "n": n, "tour_time": tour.total_time, "J": j_val,
+                    "ratio": tour.total_time / scale if scale > 0 else 0.0,
+                    "eps0": eps0, "alpha_hat": alpha,
+                })
 
     header = ["seed", "model", "density", "n", "tour_time", "J", "ratio",
               "eps0", "alpha_hat"]
@@ -490,16 +502,15 @@ def _cmd_run_adversarial(cfg):
 
 def _cmd_estimate_agility(cfg):
     model = dyn.make_model(cfg.model)
-    cells = tuple(cfg.extras.get("cells", (2, 2)))
-    n_samples = int(cfg.extras.get("n_samples", 4000))
-    headings = int(cfg.extras.get("headings", 8))
+    cells = _extra(cfg, "cells", (2, 2), _grid_shape)
+    n_samples = _extra(cfg, "n_samples", 4000, int)
+    headings = _extra(cfg, "headings", 8, int)
     eps0 = float(cfg.eps0) if cfg.eps0 is not None else 0.05
     geometry = bnd.GridField((0.0, 0.0), 1.0 / cells[0],
                              np.zeros(cells))
     rng = make_rng(cfg.seed, "estimate-agility")
     _, records = agility.agility_field(model, geometry, eps0, n_samples,
-                                       rng, headings=headings,
-                                       threads=cfg.threads)
+                                       rng, headings=headings)
     header = ["model", "x", "y", "eps", "volume", "gamma_hat", "g_hat", "r2"]
     emit_report(records, cfg.out, cfg.format, header)
 
@@ -519,9 +530,8 @@ def _cmd_build_cover(cfg):
     model = dyn.make_model(cfg.model)
     eps0 = float(cfg.eps0) if cfg.eps0 is not None \
         else planner.default_eps0(int(cfg.n[0]), hcs.model_gamma(model))
-    support = cfg.extras.get("support", ((0.0, 0.0), (1.0, 1.0)))
-    support = (tuple(float(v) for v in support[0]),
-               tuple(float(v) for v in support[1]))
+    support = _extra(cfg, "support", ((0.0, 0.0), (1.0, 1.0)),
+                     lambda v: (_floats(v[0]), _floats(v[1])))
     cover = hcs.build_cover(model, support, eps0, s=2)
     obj = hcs.cover_to_json(cover)
     with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
@@ -572,19 +582,19 @@ def _cmd_hcp_solve(cfg):
 
 
 def _cmd_check_bounds(cfg):
-    ex = cfg.extras
-    gamma = float(ex.get("gamma", 2.0))
-    s = int(ex.get("s", 2))
-    if "beta" in ex:
-        beta = float(ex["beta"])
+    gamma = _extra(cfg, "gamma", 2.0, float)
+    s = _extra(cfg, "s", 2, int)
+    if "beta" in cfg.extras:
+        beta = _extra(cfg, "beta", None, float)
     else:
-        b = float(ex.get("b", s ** gamma))
-        _, beta = bnd.beta_constant(b, gamma, bool(ex.get("symmetric", True)))
+        b = _extra(cfg, "b", s ** gamma, float)
+        _, beta = bnd.beta_constant(b, gamma,
+                                    _extra(cfg, "symmetric", True, bool))
     report = bnd.bound_report(
         n=int(cfg.n[0]), delta=cfg.delta, beta=beta, s=s,
-        alpha=float(ex.get("alpha", 1.0)), gamma=gamma,
-        J=float(ex.get("j", 1.0)),
-        int_g_inv=float(ex.get("int_g_inv", 1.0)))
+        alpha=_extra(cfg, "alpha", 1.0, float), gamma=gamma,
+        J=_extra(cfg, "j", 1.0, float),
+        int_g_inv=_extra(cfg, "int_g_inv", 1.0, float))
     obj = dataclasses.asdict(report)
     with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
         json.dump(obj, fh, indent=1, sort_keys=True)
@@ -609,29 +619,23 @@ def _cmd_cbo_check(cfg):
     gamma = hcs.model_gamma(model)
     cost = bnd.cost_field(f, g_field, cfg.zeta, gamma)
     _, beta = bnd.beta_constant(2 ** gamma, gamma, model.symmetric)
-    lambdas = tuple(float(v) for v in cfg.extras.get("lambdas",
-                                                     (0.25, 0.5, 1.0)))
+    lambdas = _extra(cfg, "lambdas", (0.25, 0.5, 1.0), _floats)
 
-    tasks = [(n, trial, lam) for n in cfg.n
-             for trial in range(cfg.seeds) for lam in lambdas]
-
-    def work(task):
-        n, trial, lam = task
-        rng = make_rng(cfg.seed, "cbo-check", n, trial)
-        pts = bnd.sample_density(f, n, rng)
-        greedy = cbo.greedy_orienteering(model, cost, pts, lam,
-                                         make_rng(cfg.seed, "cbo-start", n,
-                                                  trial))
-        brute = cbo.brute_cbo_small(model, cost, pts, lam) if n <= 8 else -1
-        bound = cbo.cbo_bound(beta, lam, n, gamma, cfg.delta)
-        return {"seed": trial, "n": n, "lambda": lam, "greedy": greedy,
-                "brute": brute, "bound": bound}
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(work, tasks))
-    else:
-        rows = [work(t) for t in tasks]
+    rows = []
+    for n in cfg.n:
+        for trial in range(cfg.seeds):
+            pts = bnd.sample_density(f, n, make_rng(cfg.seed, "cbo-check", n,
+                                                    trial))
+            for lam in lambdas:
+                greedy = cbo.greedy_orienteering(
+                    model, cost, pts, lam,
+                    make_rng(cfg.seed, "cbo-start", n, trial))
+                brute = cbo.brute_cbo_small(model, cost, pts, lam) \
+                    if n <= 8 else -1
+                bound = cbo.cbo_bound(beta, lam, n, gamma, cfg.delta)
+                rows.append({"seed": trial, "n": n, "lambda": lam,
+                             "greedy": greedy, "brute": brute,
+                             "bound": bound})
 
     header = ["seed", "n", "lambda", "greedy", "brute", "bound"]
     emit_report(rows, cfg.out, cfg.format, header)
@@ -656,10 +660,9 @@ def _cmd_cbo_check(cfg):
 
 
 def _cmd_concentration(cfg):
-    ms = tuple(int(v) for v in cfg.extras.get("m", (4, 16)))
-    zetas = tuple(float(v) for v in cfg.extras.get("zeta_exp",
-                                                   (0.5, 2.0 / 3.0)))
-    trials = int(cfg.extras.get("trials", 1000))
+    ms = _extra(cfg, "m", (4, 16), lambda v: tuple(int(m) for m in v))
+    zetas = _extra(cfg, "zeta_exp", (0.5, 2.0 / 3.0), _floats)
+    trials = _extra(cfg, "trials", 1000, int)
     rows = []
     for m in ms:
         for z in zetas:
@@ -747,8 +750,9 @@ def build_parser():
         p.add_argument("--zeta", type=float, default=None)
         p.add_argument("--eps0", type=float, default=None)
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: DSTSP_LAB_THREADS "
-                            "or all cores)")
+                       help="accepted and recorded in the manifest; runs "
+                            "are serial and start no workers (default: "
+                            "DSTSP_LAB_THREADS or the core count)")
         p.add_argument("--assert", dest="assert_checks", action="store_true",
                        help="exit nonzero if any acceptance property fails")
         p.add_argument("--out", default=None, help="output file path")

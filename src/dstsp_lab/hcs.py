@@ -13,7 +13,8 @@ A cover tiles a rectangular support with root cells as half-open boxes, so
 every point belongs to exactly one root (overlap mass zero). locate_path
 extends that tiling into the subdivision tree, returning a per-level child
 index in the mixed radix determined by the split counts (axis 0 least
-significant).
+significant); path_in_root does the descent alone, for a point whose root
+is already known.
 """
 
 import math
@@ -239,18 +240,14 @@ def locate_root(cover, x):
     return flat
 
 
-def locate_path(cover, x, depth, model=None):
-    """(root_index, per-level child indices) for the cell chain holding x.
+def path_in_root(cover, root_idx, x, depth):
+    """Per-level child indices of the cell chain holding x below root
+    root_idx, which must be the root that holds x.
 
     Child indices are mixed radix over the per-axis sub-interval indices,
     axis 0 least significant.
     """
-    if model is None:
-        radices = tuple(cover.s ** w
-                        for w in _BOX_TABLE[cover.model_id][0])
-    else:
-        radices = _child_radices(model, cover.s)
-    root_idx = locate_root(cover, x)
+    radices = tuple(cover.s ** w for w in _BOX_TABLE[cover.model_id][0])
     root = cover.roots[root_idx]
     u = root.to_adapted(x)
     # normalized position in [0, 1) per axis inside the root box
@@ -268,7 +265,13 @@ def locate_path(cover, x, depth, model=None):
             new_taus.append(tau * r - t)
         path.append(index)
         taus = new_taus
-    return root_idx, tuple(path)
+    return tuple(path)
+
+
+def locate_path(cover, x, depth):
+    """(root_index, per-level child indices) for the cell chain holding x."""
+    root_idx = locate_root(cover, x)
+    return root_idx, path_in_root(cover, root_idx, x, depth)
 
 
 def measure_alpha(cell, model, g_hat, n_samples, rng, tol=1e-9):

@@ -1,16 +1,17 @@
 """End-to-end collection tours: cover the support, plan per cell, link cells.
 
 solve_dstsp locates every target in a cover root, runs the tree collection
-solver inside each occupied root (target addresses come from locate_path),
+solver inside each occupied root (target addresses come from hcs.path_in_root),
 realizes the abstract plan as steering between cell anchors plus out-and-back
 visits, and stitches the per-root tours along a nearest-neighbor-plus-2-opt
-tour of the occupied anchors. Exact small-instance search and a linear
-whole-support bound give the two ends every run can be checked against.
+path through the occupied anchors. The tour is an open path: it starts at the
+first root's anchor and ends at the last one's, with no closing leg. Exact
+small-instance search (one subset dynamic program, shared with cbo) and a
+linear whole-support bound give the two ends every run can be checked against.
 """
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,7 +267,7 @@ def _realize_root(model, cover, root_idx, ids_points, depth):
     root_anchor = cover.roots[root_idx].anchor
     groups = {}   # canonical path -> list of original target ids
     for tid, point in ids_points:
-        _, path = hcs.locate_path(cover, point, depth)
+        path = hcs.path_in_root(cover, root_idx, point, depth)
         groups.setdefault(hcp.canonical_path(path), []).append(tid)
     paths = sorted(groups)
     params = hcp.HcpParams(branch_factor=cover.s ** cover.gamma,
@@ -306,8 +307,13 @@ def _realize_root(model, cover, root_idx, ids_points, depth):
     return segments, visits, t
 
 
-def solve_dstsp(model, cover, targets, threads=1, with_info=False):
-    """Tour visiting every target, assembled from per-root collection plans."""
+def solve_dstsp(model, cover, targets, with_info=False):
+    """Tour visiting every target, assembled from per-root collection plans.
+
+    The tour is an open path through the occupied roots in root_order: its
+    trajectory starts at the anchor of the first root and ends at the anchor
+    of the last, and total_time has no leg back to the start.
+    """
     if not model.symmetric:
         raise NotSymmetric("tour realization reverses steers")
     targets = [tuple(float(v) for v in p) for p in targets]
@@ -345,15 +351,6 @@ def solve_dstsp(model, cover, targets, threads=1, with_info=False):
     anchor_to_root = {cover.roots[ri].anchor: ri for ri in occupied}
     root_order = [anchor_to_root[a] for a in ordered]
 
-    def work(ri):
-        return _realize_root(model, cover, ri, by_root[ri], depths[ri])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pieces = dict(zip(occupied, pool.map(work, occupied)))
-    else:
-        pieces = {ri: work(ri) for ri in occupied}
-
     segments = []
     visited = []
     t = 0.0
@@ -364,7 +361,8 @@ def solve_dstsp(model, cover, targets, threads=1, with_info=False):
             leg = dyn.steer(model, prev_anchor, anchor)
             segments.extend(leg.segments)
             t += leg.duration
-        seg, visits, dur = pieces[ri]
+        seg, visits, dur = _realize_root(model, cover, ri, by_root[ri],
+                                         depths[ri])
         segments.extend(seg)
         visited.extend((tid, t + vt) for tid, vt in visits)
         t += dur
@@ -405,12 +403,45 @@ def tour_visits_all(tour, targets, tol=1e-6):
     return len(seen) == len(targets)
 
 
+def subset_layers(owner, cost, budget=math.inf):
+    """Cheapest open paths over subsets of targets, one layer per size.
+
+    Node v stands for target owner[v] (a target may have several nodes, one
+    per heading); a path enters each target through one of its nodes and
+    cost[v][w] prices the leg from node v to node w. Layer k maps (mask of
+    the k targets visited, last node) to the cheapest cost of a path ending
+    there; paths start anywhere for free. A leg that takes a path past the
+    budget is dropped, and the layers stop at the first empty one.
+    """
+    nodes = range(len(owner))
+    limit = budget + 1e-12
+    layers = []
+    layer = {(1 << owner[v], v): 0.0 for v in nodes}
+    while layer:
+        layers.append(layer)
+        nxt = {}
+        for (mask, v), spent in layer.items():
+            row = cost[v]
+            for w in nodes:
+                bit = 1 << owner[w]
+                if mask & bit:
+                    continue
+                c = spent + row[w]
+                if c > limit:
+                    continue
+                key = (mask | bit, w)
+                if c < nxt.get(key, math.inf):
+                    nxt[key] = c
+        layer = nxt
+    return layers
+
+
 def exact_small_tsp(model, targets, headings=1):
     """Optimal open collection tour by dynamic programming over subsets.
 
-    States are (visited set, last target, last heading index); edges come
-    from steering. Exact for models without a heading degree of freedom
-    (headings collapses to 1); otherwise exact within the heading grid.
+    Nodes are (target, heading index) pairs; edges come from steering.
+    Exact for models without a heading degree of freedom (headings
+    collapses to 1); otherwise exact within the heading grid.
     """
     n = len(targets)
     if n == 0:
@@ -424,41 +455,18 @@ def exact_small_tsp(model, targets, headings=1):
     with_heading = model.config_dim > model.workspace_dim
     h_count = headings if with_heading else 1
     angles = [2.0 * math.pi * k / h_count for k in range(h_count)]
-
-    def config(i, h):
-        p = tuple(float(v) for v in targets[i])
-        return p + (angles[h],) if with_heading else p
-
-    speed = dyn.closed_form_speed(model)
-    cost = {}
-    for i in range(n):
-        for hi in range(h_count):
-            for j in range(n):
-                if i == j:
-                    continue
-                for hj in range(h_count):
-                    cost[i, hi, j, hj] = _steer_time(
-                        model, config(i, hi), config(j, hj), speed)
-
-    dp = {}
-    for i in range(n):
+    configs = []
+    owner = []
+    for i, p in enumerate(targets):
+        p = tuple(float(v) for v in p)
         for h in range(h_count):
-            dp[1 << i, i, h] = 0.0
-    full = (1 << n) - 1
-    for mask in range(1, full + 1):
-        for (m0, last, h0), base in [((m, l, h), v)
-                                     for (m, l, h), v in dp.items()
-                                     if m == mask]:
-            for j in range(n):
-                if mask & (1 << j):
-                    continue
-                nm = mask | (1 << j)
-                for hj in range(h_count):
-                    cand = base + cost[last, h0, j, hj]
-                    key = (nm, j, hj)
-                    if cand < dp.get(key, math.inf):
-                        dp[key] = cand
-    return min(v for (m, _, _), v in dp.items() if m == full)
+            configs.append(p + (angles[h],) if with_heading else p)
+            owner.append(i)
+    speed = dyn.closed_form_speed(model)
+    cost = [[_steer_time(model, a, b, speed) if owner[v] != owner[w] else 0.0
+             for w, b in enumerate(configs)]
+            for v, a in enumerate(configs)]
+    return min(subset_layers(owner, cost)[-1].values())
 
 
 def trivial_bound(n, model, support, seed=0):

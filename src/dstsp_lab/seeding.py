@@ -2,8 +2,8 @@
 
 Every stochastic routine takes either a Generator or a 64-bit seed. Trial t of
 a multi-trial experiment always draws from a substream derived from
-(base_seed, t) by a fixed integer mix, so results are byte-identical no matter
-how trials are scheduled across threads.
+(base_seed, t) by a fixed integer mix, so a trial's results do not depend on
+which trials ran before it or in what order.
 """
 
 import numpy as np

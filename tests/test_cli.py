@@ -290,6 +290,35 @@ def test_density_file_input(tmp_path):
     assert rows[0]["density"] == str(fpath)
 
 
+@pytest.mark.parametrize("header", [
+    '{"origin": [0.0, 0.0], "cell_size": 0.5}',               # no dims
+    "origin 0 0, cell size 0.5",                             # not JSON
+    '{"origin": [0.0, 0.0], "cell_size": 0.5, "dims": [3, 3]}',
+], ids=["missing-dims", "non-json-header", "dims-mismatch"])
+def test_bad_density_file_is_config_error(tmp_path, capsys, header):
+    fpath = tmp_path / "dens.txt"
+    fpath.write_text(header + "\n1.0 1.0\n1.0 1.0\n")
+    rc = _main(["run-dstsp", "--density", fpath, "--n", "32", "--seeds",
+                "1", "--out", tmp_path / "d.csv"])
+    assert rc == 2
+    assert "field 'density'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, model, extras", [
+    ("run-dstsp", "reeds_shepp", {"g_samples": "x"}),
+    ("estimate-agility", "euclidean2", {"cells": "ab"}),
+], ids=["g_samples", "cells"])
+def test_bad_extras_are_config_errors(tmp_path, capsys, subcommand, model,
+                                      extras):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"extras": extras}))
+    rc = _main([subcommand, "--config", cfgfile, "--model", model, "--n",
+                "32", "--seeds", "1", "--out", tmp_path / "x.csv"])
+    assert rc == 2
+    key = next(iter(extras))
+    assert f"field 'extras.{key}'" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- manifests
 
 

@@ -24,12 +24,11 @@ def uniform_targets(n, seed, lo=0.0, hi=1.0):
     return [tuple(p) for p in rng.uniform(lo, hi, size=(n, 2))]
 
 
-def solve_uniform(n, seed, with_info=False, threads=1):
+def solve_uniform(n, seed, with_info=False):
     pts = uniform_targets(n, seed)
     eps0 = planner.default_eps0(n, 2)
     cov = hcs.build_cover(E2, SQ, eps0)
-    out = planner.solve_dstsp(E2, cov, pts, threads=threads,
-                              with_info=with_info)
+    out = planner.solve_dstsp(E2, cov, pts, with_info=with_info)
     return (out, pts, eps0) if not with_info else (*out, pts, eps0)
 
 
@@ -108,13 +107,33 @@ def test_realized_time_bound_with_slack():
     assert tour.total_time <= info["c_eps0"] + per_root * 1.25
 
 
-def test_threads_do_not_change_the_tour():
-    t1, pts, _ = solve_uniform(512, 4, threads=1)
-    t4 = planner.solve_dstsp(
-        E2, hcs.build_cover(E2, SQ, planner.default_eps0(512, 2)),
-        pts, threads=4)
-    assert t1.total_time == t4.total_time
-    assert t1.visited == t4.visited
+def test_same_seed_gives_the_same_tour():
+    t1, pts, _ = solve_uniform(512, 4)
+    t2 = planner.solve_dstsp(
+        E2, hcs.build_cover(E2, SQ, planner.default_eps0(512, 2)), pts)
+    assert t1.total_time == t2.total_time
+    assert t1.visited == t2.visited
+    assert t1.trajectory.segments == t2.trajectory.segments
+
+
+@pytest.mark.parametrize("model, n", [(E2, 256), (RS, 24)])
+def test_tour_is_an_open_path_between_first_and_last_root(model, n):
+    # no closing leg: the trajectory runs from the first root's anchor to
+    # the last root's, and its duration is the total time
+    pts = uniform_targets(n, 8, lo=0.05, hi=0.95)
+    eps0 = planner.default_eps0(n, hcs.model_gamma(model))
+    cov = hcs.build_cover(model, SQ, eps0)
+    tour, info = planner.solve_dstsp(model, cov, pts, with_info=True)
+    order = info["root_order"]
+    assert len(order) > 2
+    first = cov.roots[order[0]].anchor
+    last = cov.roots[order[-1]].anchor
+    assert tour.trajectory.start == first
+    end = tour.trajectory.endpoint()
+    assert math.dist(end[:2], last[:2]) <= 1e-9
+    assert math.dist(end[:2], first[:2]) > 1e-3
+    assert tour.trajectory.duration == pytest.approx(tour.total_time,
+                                                     abs=1e-9)
 
 
 def test_bidirectional_car_end_to_end():
