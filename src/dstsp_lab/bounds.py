@@ -6,8 +6,8 @@ this module provides:
 
   * Lipschitz envelopes: upper_reg lifts a field to the smallest
     (1/zeta)-Lipschitz field above max(h, zeta); lower_reg is the dual with
-    ceiling 1/zeta. Both are exact O(cells^2) convolutions, evaluated in
-    blocks to bound memory.
+    ceiling 1/zeta. Both are exact max-plus (min-plus) convolutions with a
+    cone kernel, cut off where its drop exceeds the field's range.
   * interaction_integral: the density/agility coupling integral
     J = integral of f^(1-1/gamma) * g^(-1/gamma) over the support of f.
   * beta_constant and bound_report: closed-form constants for lower/upper
@@ -19,6 +19,7 @@ this module provides:
   * sample_density: iid points drawn from a gridded density.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -27,8 +28,6 @@ import numpy as np
 
 from .errors import (AlphaOutOfRange, GridMismatch, NonpositiveZeta,
                      ZeroMass)
-
-_ENVELOPE_BLOCK = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,38 +155,34 @@ def field_from_file(path):
 
 # --- Lipschitz envelopes -------------------------------------------------
 
-def _pairwise_sq_dists(a, b):
-    # |a|^2 + |b|^2 - 2 a.b, clipped at zero against rounding
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    d2 = aa + bb - 2.0 * (a @ b.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 def _envelope(field, zeta, upper):
     if zeta <= 0.0:
         raise NonpositiveZeta("zeta must be positive")
-    centers = field.cell_centers()
-    flat = field.values.ravel()
-    if upper:
-        base = np.maximum(flat, zeta)
-    else:
-        base = np.minimum(flat, 1.0 / zeta)
-    out = np.empty_like(base)
     slope = 1.0 / zeta
-    for lo in range(0, centers.shape[0], _ENVELOPE_BLOCK):
-        hi = min(lo + _ENVELOPE_BLOCK, centers.shape[0])
-        dist = np.sqrt(_pairwise_sq_dists(centers[lo:hi], centers))
-        if upper:
-            # the self term is exactly base; matmul noise in the diagonal
-            # distance must not pull the envelope below it
-            out[lo:hi] = np.maximum((base[None, :] - slope * dist).max(axis=1),
-                                    base[lo:hi])
-        else:
-            out[lo:hi] = np.minimum((base[None, :] + slope * dist).min(axis=1),
-                                    base[lo:hi])
-    return field.with_values(out.reshape(field.dims))
+    if upper:
+        base, pick, sign = np.maximum(field.values, zeta), np.maximum, -1.0
+    else:
+        base, pick, sign = np.minimum(field.values, slope), np.minimum, 1.0
+    out = base.copy()
+    # On a regular grid two cells at integer offset k lie h * |k| apart, so
+    # a partner at offset k offers base -/+ slope * h * |k|. Once that drop
+    # exceeds spread = max(base) - min(base), the offer cannot beat any
+    # cell's own value, which out starts from: the cone kernel is truncated
+    # at that radius, and each offset inside it is one sliced extremum over
+    # the whole grid.
+    h = field.cell_size
+    spread = float(base.max() - base.min())
+    radii = [int(min(n - 1, spread / (slope * h))) for n in field.dims]
+    for k in itertools.product(*(range(-r, r + 1) for r in radii)):
+        drop = slope * (h * math.sqrt(sum(c * c for c in k)))
+        if drop > spread or not any(k):
+            continue
+        dst = tuple(slice(max(0, -c), n - max(0, c))
+                    for c, n in zip(k, field.dims))
+        src = tuple(slice(max(0, c), n - max(0, -c))
+                    for c, n in zip(k, field.dims))
+        pick(out[dst], base[src] + sign * drop, out=out[dst])
+    return field.with_values(out)
 
 
 def upper_reg(field, zeta):

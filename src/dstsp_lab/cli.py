@@ -108,13 +108,10 @@ def _parse_n(text):
 
 
 def _default_threads():
-    env = os.environ.get("DSTSP_LAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as err:
-            raise ConfigError(f"env DSTSP_LAB_THREADS: {err}") from err
-    return os.cpu_count() or 1
+    try:
+        return max(1, int(os.environ.get("DSTSP_LAB_THREADS", 1)))
+    except ValueError as err:
+        raise ConfigError(f"env DSTSP_LAB_THREADS: {err}") from err
 
 
 def resolve_config(subcommand, args):
@@ -311,6 +308,15 @@ def _extra(cfg, key, default, convert):
         raise ConfigError(f"field 'extras.{key}': {err}") from err
 
 
+def _int_within(lo, hi=math.inf):
+    """Converter for an integer extra that must lie in [lo, hi]."""
+    def convert(val):
+        if not lo <= int(val) <= hi:
+            raise ValueError(f"must lie in [{lo}, {hi}], got {val!r}")
+        return int(val)
+    return convert
+
+
 def _floats(vals):
     return tuple(float(v) for v in vals)
 
@@ -350,7 +356,7 @@ def _closed_form_g(model, grid, cfg):
     elif mid == "reeds_shepp":
         # No closed form: measure once at the grid center and broadcast
         # (the model is spatially homogeneous).
-        n_samples = _extra(cfg, "g_samples", 3000, int)
+        n_samples = _extra(cfg, "g_samples", 3000, _int_within(1))
         cx = grid.origin[0] + grid.dims[0] * grid.cell_size / 2.0
         cy = grid.origin[1] + grid.dims[1] * grid.cell_size / 2.0
         best, _ = agility.cell_agility(model, (cx, cy), 0.05, n_samples,
@@ -503,8 +509,8 @@ def _cmd_run_adversarial(cfg):
 def _cmd_estimate_agility(cfg):
     model = dyn.make_model(cfg.model)
     cells = _extra(cfg, "cells", (2, 2), _grid_shape)
-    n_samples = _extra(cfg, "n_samples", 4000, int)
-    headings = _extra(cfg, "headings", 8, int)
+    n_samples = _extra(cfg, "n_samples", 4000, _int_within(1))
+    headings = _extra(cfg, "headings", 8, _int_within(1))
     eps0 = float(cfg.eps0) if cfg.eps0 is not None else 0.05
     geometry = bnd.GridField((0.0, 0.0), 1.0 / cells[0],
                              np.zeros(cells))
@@ -660,9 +666,9 @@ def _cmd_cbo_check(cfg):
 
 
 def _cmd_concentration(cfg):
-    ms = _extra(cfg, "m", (4, 16), lambda v: tuple(int(m) for m in v))
+    ms = _extra(cfg, "m", (4, 16), lambda v: tuple(map(_int_within(1), v)))
     zetas = _extra(cfg, "zeta_exp", (0.5, 2.0 / 3.0), _floats)
-    trials = _extra(cfg, "trials", 1000, int)
+    trials = _extra(cfg, "trials", 1000, _int_within(1000, 100_000))
     rows = []
     for m in ms:
         for z in zetas:
@@ -752,7 +758,7 @@ def build_parser():
         p.add_argument("--threads", type=int, default=None,
                        help="accepted and recorded in the manifest; runs "
                             "are serial and start no workers (default: "
-                            "DSTSP_LAB_THREADS or the core count)")
+                            "DSTSP_LAB_THREADS, else 1)")
         p.add_argument("--assert", dest="assert_checks", action="store_true",
                        help="exit nonzero if any acceptance property fails")
         p.add_argument("--out", default=None, help="output file path")

@@ -127,6 +127,18 @@ def test_threads_env_fallback(monkeypatch):
         cli.resolve_config("run-dstsp", _args("run-dstsp"))
 
 
+def test_default_threads_ignore_the_core_count(tmp_path, monkeypatch):
+    monkeypatch.delenv("DSTSP_LAB_THREADS", raising=False)
+    out = tmp_path / "r.csv"
+    manifests = []
+    for cores in (2, 64):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        assert _main(["concentration", "--n", "1000", "--out", out]) == 0
+        manifests.append((tmp_path / "r.manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    assert json.loads(manifests[0])["config"]["threads"] == 1
+
+
 def test_main_reports_config_errors_as_exit_2(tmp_path, capsys):
     rc = _main(["run-dstsp", "--density", "nope",
                 "--out", tmp_path / "x.csv"])
@@ -307,7 +319,11 @@ def test_bad_density_file_is_config_error(tmp_path, capsys, header):
 @pytest.mark.parametrize("subcommand, model, extras", [
     ("run-dstsp", "reeds_shepp", {"g_samples": "x"}),
     ("estimate-agility", "euclidean2", {"cells": "ab"}),
-], ids=["g_samples", "cells"])
+    ("estimate-agility", "reeds_shepp", {"headings": 0}),
+    ("estimate-agility", "euclidean2", {"n_samples": 0}),
+    ("concentration", "euclidean2", {"trials": 0}),
+    ("concentration", "euclidean2", {"m": [4, 0]}),
+], ids=["g_samples", "cells", "headings", "n_samples", "trials", "m"])
 def test_bad_extras_are_config_errors(tmp_path, capsys, subcommand, model,
                                       extras):
     cfgfile = tmp_path / "c.json"
