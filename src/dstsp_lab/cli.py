@@ -317,6 +317,15 @@ def _int_within(lo, hi=math.inf):
     return convert
 
 
+def _float_where(ok, what):
+    """Converter for a real extra for which ok(value) must hold."""
+    def convert(val):
+        if not ok(float(val)):
+            raise ValueError(f"must be {what}, got {val!r}")
+        return float(val)
+    return convert
+
+
 def _floats(vals):
     return tuple(float(v) for v in vals)
 
@@ -341,17 +350,16 @@ def _density_file(path):
 def _closed_form_g(model, grid, cfg):
     """Agility field on the grid: closed form where known, measured else."""
     mid = model.model_id
-    if mid == "euclidean2":
-        vals = np.full(grid.dims, math.pi * model.c_pi ** 2)
+    speed = dyn.closed_form_speed(model)
+    if mid in ("euclidean2", "scaled_euclidean2") and speed is not None:
+        vals = np.full(grid.dims, math.pi * speed ** 2)
     elif mid == "scaled_euclidean2":
-        sigma = model.sigma   # make_model fills in 1.0 when absent
         vals = np.empty(grid.dims)
         for i in range(grid.dims[0]):
             for j in range(grid.dims[1]):
                 cx = grid.origin[0] + (i + 0.5) * grid.cell_size
                 cy = grid.origin[1] + (j + 0.5) * grid.cell_size
-                s = sigma.value_at((cx, cy)) if hasattr(sigma, "value_at") \
-                    else float(sigma)
+                s = model.sigma.value_at((cx, cy))
                 vals[i, j] = math.pi * (model.c_pi * s) ** 2
     elif mid == "reeds_shepp":
         # No closed form: measure once at the grid center and broadcast
@@ -481,11 +489,11 @@ def _cmd_run_dstsp(cfg, model=None, densities=None):
 
 
 def _cmd_run_adversarial(cfg):
+    # a JSON config cannot carry a grid: the field always comes from extras
     spec = dict(cfg.model)
     if spec.get("model") != "scaled_euclidean2":
         spec = {"model": "scaled_euclidean2"}
-    if "sigma" not in spec or not hasattr(spec.get("sigma"), "value_at"):
-        spec["sigma"] = _sigma_grid_from_extras(cfg)
+    spec["sigma"] = _sigma_grid_from_extras(cfg)
     model = dyn.make_model(spec)
     rows, failures = _cmd_run_dstsp(
         cfg, model=model, densities=["worst_case", "uniform", "prop_g"])
@@ -588,19 +596,23 @@ def _cmd_hcp_solve(cfg):
 
 
 def _cmd_check_bounds(cfg):
-    gamma = _extra(cfg, "gamma", 2.0, float)
-    s = _extra(cfg, "s", 2, int)
+    nonnegative = _float_where(lambda v: v >= 0.0, ">= 0")
+    gamma = _extra(cfg, "gamma", 2.0, _float_where(lambda v: v > 1.0, "> 1"))
+    s = _extra(cfg, "s", 2, _int_within(2))
     if "beta" in cfg.extras:
-        beta = _extra(cfg, "beta", None, float)
+        beta = _extra(cfg, "beta", None,
+                      _float_where(lambda v: v > 0.0, "> 0"))
     else:
-        b = _extra(cfg, "b", s ** gamma, float)
+        b = _extra(cfg, "b", s ** gamma,
+                   _float_where(lambda v: v >= 2.0, ">= 2"))
         _, beta = bnd.beta_constant(b, gamma,
                                     _extra(cfg, "symmetric", True, bool))
     report = bnd.bound_report(
         n=int(cfg.n[0]), delta=cfg.delta, beta=beta, s=s,
-        alpha=_extra(cfg, "alpha", 1.0, float), gamma=gamma,
-        J=_extra(cfg, "j", 1.0, float),
-        int_g_inv=_extra(cfg, "int_g_inv", 1.0, float))
+        alpha=_extra(cfg, "alpha", 1.0,
+                     _float_where(lambda v: 0.0 < v <= 1.0, "in (0, 1]")),
+        gamma=gamma, J=_extra(cfg, "j", 1.0, nonnegative),
+        int_g_inv=_extra(cfg, "int_g_inv", 1.0, nonnegative))
     obj = dataclasses.asdict(report)
     with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
         json.dump(obj, fh, indent=1, sort_keys=True)
@@ -667,7 +679,9 @@ def _cmd_cbo_check(cfg):
 
 def _cmd_concentration(cfg):
     ms = _extra(cfg, "m", (4, 16), lambda v: tuple(map(_int_within(1), v)))
-    zetas = _extra(cfg, "zeta_exp", (0.5, 2.0 / 3.0), _floats)
+    zeta = _float_where(lambda v: 0.0 < v < 1.0, "in (0, 1)")
+    zetas = _extra(cfg, "zeta_exp", (0.5, 2.0 / 3.0),
+                   lambda v: tuple(map(zeta, v)))
     trials = _extra(cfg, "trials", 1000, _int_within(1000, 100_000))
     rows = []
     for m in ms:

@@ -16,19 +16,25 @@ Models
 
 Controls are normalized to [-1, 1] per component (euclidean controls to the
 unit ball); the model's limits scale them to physical rates.
+
+make_model resolves sigma once, to a float or a GridField, and everything
+else reads model.sigma as it is. On a gridded field, steer and integrate
+share one walk over the cells a line crosses (_cells_along).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import GridField
 from .errors import ConfigError, ControlOutOfRange, NotSymmetric
 from . import reeds_shepp as rs
 
 _TWO_PI = 2.0 * math.pi
 _CTRL_TOL = 1e-9
-# cell-marching guard for the scaled model; generous for any sane field
+# cell-walk guard for the scaled model; generous for any sane field
 _MAX_MARCH_STEPS = 100_000
 
 MODEL_IDS = ("euclidean2", "euclidean3", "scaled_euclidean2",
@@ -79,101 +85,93 @@ class DynamicsModel:
 
 
 def make_model(spec):
-    """Build a model from a config mapping like {"model": "euclidean2"}."""
+    """Build a model from a config mapping like {"model": "euclidean2"}.
+
+    This is the one place that decides what sigma is: for
+    scaled_euclidean2 a finite positive float (default 1.0) or a 2-D
+    GridField copied from anything with origin, cell_size and values, with
+    a positive minimum; None for every other model.
+    """
     if "model" not in spec:
         raise ConfigError("model spec needs a 'model' key")
     model_id = spec["model"]
     if model_id not in MODEL_IDS:
         raise ConfigError(f"unknown model {model_id!r}")
-    c_pi = float(spec.get("c_pi", 1.0))
-    if c_pi <= 0.0:
-        raise ConfigError("c_pi must be positive")
-    r_min = float(spec.get("r_min", 1.0))
-    if r_min <= 0.0:
-        raise ConfigError("r_min must be positive")
-    omega_max = float(spec.get("omega_max", 1.0))
-    if omega_max <= 0.0:
-        raise ConfigError("omega_max must be positive")
-    sigma = spec.get("sigma", None)
+    sigma = None
     if model_id == "scaled_euclidean2":
-        if sigma is None:
-            sigma = 1.0
-        lo, _ = sigma_range(DynamicsModel(model_id, c_pi, sigma=sigma))
-        if lo <= 0.0:
-            raise ConfigError("sigma must be positive everywhere")
-    return DynamicsModel(model_id=model_id, c_pi=c_pi, r_min=r_min,
-                         omega_max=omega_max, sigma=sigma)
+        sigma = _speed_field(spec.get("sigma", 1.0))
+    limits = {key: _positive(key, spec.get(key, 1.0))
+              for key in ("c_pi", "r_min", "omega_max")}
+    return DynamicsModel(model_id=model_id, sigma=sigma, **limits)
 
 
-def _is_grid(sigma):
-    return hasattr(sigma, "origin") and hasattr(sigma, "values")
+def _positive(key, val):
+    if isinstance(val, numbers.Real) and math.isfinite(val) and val > 0.0:
+        return float(val)
+    raise ConfigError(f"field 'model.{key}': must be a finite positive "
+                      f"number, got {val!r}")
+
+
+def _speed_field(sigma):
+    if not all(hasattr(sigma, a) for a in ("origin", "cell_size", "values")):
+        return _positive("sigma", sigma)
+    try:
+        grid = GridField(tuple(sigma.origin), float(sigma.cell_size),
+                         sigma.values)
+        if grid.ndim != 2 or not (math.isfinite(grid.cell_size)
+                                  and all(map(math.isfinite, grid.origin))
+                                  and grid.values.min() > 0.0):
+            raise ValueError("need a finite 2-D grid, positive everywhere")
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"field 'model.sigma': {err}") from err
+    return grid
 
 
 def sigma_range(model):
-    """(min, max) of the scale field; (1, 1) for unscaled models."""
+    """(min, max) of a scaled model's speed factor sigma."""
     s = model.sigma
-    if s is None:
-        return 1.0, 1.0
-    if _is_grid(s):
-        vals = np.asarray(s.values, dtype=float)
-        return float(vals.min()), float(vals.max())
-    s = float(s)
+    if isinstance(s, GridField):
+        return float(s.values.min()), float(s.values.max())
     return s, s
 
 
-def _grid_cell_index(grid, pos, vel):
-    """Cell index for the marching step, biased so that a point sitting on a
-    boundary while moving toward lower coordinates belongs to the lower cell."""
-    origin = grid.origin
-    h = grid.cell_size
-    idx = []
-    for i in range(len(pos)):
-        k = math.floor((pos[i] - origin[i]) / h)
-        if vel[i] < 0.0 and pos[i] <= origin[i] + k * h:
-            k -= 1
-        idx.append(k)
-    return idx
+def _cells_along(grid, p, u):
+    """The cells that the line p + s*u, s >= 0, crosses, in order (the voxel
+    traversal of Amanatides and Woo, 1987).
 
-
-def _grid_sigma_at(grid, idx):
-    vals = np.asarray(grid.values, dtype=float)
-    dims = vals.shape
-    # clamp: the field extends past its bounds by its edge cells
-    cl = tuple(min(max(k, 0), dims[i] - 1) for i, k in enumerate(idx))
-    return float(vals[cl])
-
-
-def _march_scaled(model, q, u, dt):
-    """Exact integration of q' = c*sigma(x)*u across grid cells."""
-    grid = model.sigma
-    pos = [float(v) for v in q]
-    remaining = float(dt)
-    h = grid.cell_size
-    origin = grid.origin
+    Yields (sigma, start, s_exit) per cell: its value, the point where the
+    line enters it and the parameter, counted from that point, at which the
+    line leaves it (inf if it never does). Each next start lands exactly on
+    the exit plane, and the field extends past its bounds by its edge cells.
+    """
+    origin, h, vals = grid.origin, grid.cell_size, grid.values
+    top = [n - 1 for n in vals.shape]
+    pos = [float(v) for v in p]
     for _ in range(_MAX_MARCH_STEPS):
-        if remaining <= 0.0:
-            return tuple(pos)
-        idx = _grid_cell_index(grid, pos, u)
-        speed = model.c_pi * _grid_sigma_at(grid, idx)
-        vel = [speed * ui for ui in u]
-        t_exit = math.inf
-        exit_axis = -1
-        exit_bound = 0.0
-        for i, vi in enumerate(vel):
-            if vi > 0.0:
-                bound = origin[i] + (idx[i] + 1) * h
-            elif vi < 0.0:
-                bound = origin[i] + idx[i] * h
-            else:
-                continue
-            ti = (bound - pos[i]) / vi
-            if ti < t_exit:
-                t_exit, exit_axis, exit_bound = ti, i, bound
-        if t_exit >= remaining:
-            return tuple(p + v * remaining for p, v in zip(pos, vel))
-        pos = [p + v * t_exit for p, v in zip(pos, vel)]
-        pos[exit_axis] = exit_bound  # land exactly on the crossing plane
-        remaining -= t_exit
+        cell = []
+        s_exit, axis, plane = math.inf, -1, 0.0
+        for i, ui in enumerate(u):
+            k = math.floor((pos[i] - origin[i]) / h)
+            # a point on a cell plane belongs to the cell the line moves
+            # into, whichever way the division rounded
+            if ui > 0.0:
+                bound = origin[i] + (k + 1) * h
+                if pos[i] >= bound:
+                    k += 1
+                    bound = origin[i] + (k + 1) * h
+            elif ui < 0.0:
+                bound = origin[i] + k * h
+                if pos[i] <= bound:
+                    k -= 1
+                    bound = origin[i] + k * h
+            cell.append(min(max(k, 0), top[i]))
+            if ui != 0.0:
+                si = (bound - pos[i]) / ui
+                if si < s_exit:
+                    s_exit, axis, plane = si, i, bound
+        yield vals.item(*cell), pos, s_exit
+        pos = [x + ui * s_exit for x, ui in zip(pos, u)]
+        pos[axis] = plane
     raise RuntimeError("cell marching did not terminate; field too fine?")
 
 
@@ -210,17 +208,21 @@ def integrate(model, q, control, dt):
     if dt < 0.0:
         raise ValueError("dt must be nonnegative")
     mid = model.model_id
-    if mid in ("euclidean2", "euclidean3"):
+    speed = closed_form_speed(model)
+    if speed is not None:
         _check_ball_control(control, model.config_dim)
-        return tuple(float(p) + model.c_pi * float(c) * dt
+        return tuple(float(p) + speed * float(c) * dt
                      for p, c in zip(q, control))
     if mid == "scaled_euclidean2":
         _check_ball_control(control, 2)
-        if _is_grid(model.sigma):
-            return _march_scaled(model, q, control, dt)
-        s = 1.0 if model.sigma is None else float(model.sigma)
-        return tuple(float(p) + model.c_pi * s * float(c) * dt
-                     for p, c in zip(q, control))
+        left = float(dt)
+        for sigma, pos, s_exit in _cells_along(model.sigma, q, control):
+            speed = model.c_pi * sigma
+            t_exit = s_exit / speed
+            if t_exit >= left:
+                return tuple(x + speed * ui * left
+                             for x, ui in zip(pos, control))
+            left -= t_exit
     if mid == "reeds_shepp":
         _check_box_control(control, ("gear", "steer"))
         gear, steer = float(control[0]), float(control[1])
@@ -277,64 +279,32 @@ def closed_form_speed(model):
     others."""
     if model.model_id in ("euclidean2", "euclidean3"):
         return model.c_pi
-    if model.model_id == "scaled_euclidean2" and not _is_grid(model.sigma):
-        return model.c_pi * (1.0 if model.sigma is None
-                             else float(model.sigma))
+    if (model.model_id == "scaled_euclidean2"
+            and not isinstance(model.sigma, GridField)):
+        return model.c_pi * model.sigma
     return None
 
 
-def _steer_euclidean(model, q0, q1, scale=1.0):
-    delta = [float(b) - float(a) for a, b in zip(q0, q1)]
+def _steer_straight(model, q0, q1):
+    # straight workspace line at the closed-form speed, or through the
+    # gridded speed field with one segment per cell crossed
+    speed = closed_form_speed(model)
+    p0 = tuple(float(v) for v in q0)
+    delta = [float(b) - a for a, b in zip(p0, q1)]
     dist = math.hypot(*delta)
     if dist == 0.0:
-        return Trajectory(model, tuple(map(float, q0)), ())
+        return Trajectory(model, p0, ())
     u = tuple(d / dist for d in delta)
-    return Trajectory(model, tuple(map(float, q0)),
-                      ((u, dist / (model.c_pi * scale)),))
-
-
-def _steer_scaled_grid(model, q0, q1):
-    # straight workspace line; time integrates 1/(c*sigma) cell by cell
-    grid = model.sigma
-    p0 = [float(v) for v in q0]
-    p1 = [float(v) for v in q1]
-    delta = [b - a for a, b in zip(p0, p1)]
-    dist = math.hypot(*delta)
-    if dist == 0.0:
-        return Trajectory(model, tuple(p0), ())
-    u = tuple(d / dist for d in delta)
-    h = grid.cell_size
-    origin = grid.origin
+    if speed is not None:
+        return Trajectory(model, p0, ((u, dist / speed),))
     segments = []
-    pos = p0[:]
     left = dist
-    for _ in range(_MAX_MARCH_STEPS):
-        if left <= 0.0:
-            break
-        idx = _grid_cell_index(grid, pos, u)
-        sig = _grid_sigma_at(grid, idx)
-        s_exit = math.inf
-        exit_axis, exit_bound = -1, 0.0
-        for i, ui in enumerate(u):
-            if ui > 0.0:
-                bound = origin[i] + (idx[i] + 1) * h
-            elif ui < 0.0:
-                bound = origin[i] + idx[i] * h
-            else:
-                continue
-            si = (bound - pos[i]) / ui
-            if si < s_exit:
-                s_exit, exit_axis, exit_bound = si, i, bound
-        step = min(s_exit, left)
-        segments.append((u, step / (model.c_pi * sig)))
+    for sigma, _, s_exit in _cells_along(model.sigma, p0, u):
+        segments.append((u, min(s_exit, left) / (model.c_pi * sigma)))
         if s_exit >= left:
             break
-        pos = [p + ui * s_exit for p, ui in zip(pos, u)]
-        pos[exit_axis] = exit_bound
         left -= s_exit
-    else:
-        raise RuntimeError("cell marching did not terminate")
-    return Trajectory(model, tuple(p0), tuple(segments))
+    return Trajectory(model, p0, tuple(segments))
 
 
 def _steer_reeds_shepp(model, q0, q1):
@@ -395,13 +365,8 @@ def steer(model, q0, q1):
     """Trajectory from q0 to q1; optimal for every model except the scaled
     one, where the straight line is an admissible upper bound."""
     mid = model.model_id
-    if mid in ("euclidean2", "euclidean3"):
-        return _steer_euclidean(model, q0, q1)
-    if mid == "scaled_euclidean2":
-        if _is_grid(model.sigma):
-            return _steer_scaled_grid(model, q0, q1)
-        s = 1.0 if model.sigma is None else float(model.sigma)
-        return _steer_euclidean(model, q0, q1, scale=s)
+    if mid in ("euclidean2", "euclidean3", "scaled_euclidean2"):
+        return _steer_straight(model, q0, q1)
     if mid == "reeds_shepp":
         return _steer_reeds_shepp(model, q0, q1)
     if mid == "diff_drive":
@@ -486,17 +451,13 @@ def sample_reachable(model, q, eps, n_samples, rng):
     durs = _simplex_durations(rng, counts, eps)
     kmax = durs.shape[1]
 
-    if mid in ("euclidean2", "euclidean3") or (
-            mid == "scaled_euclidean2" and not _is_grid(model.sigma)):
-        d = model.workspace_dim
-        scale = model.c_pi
-        if mid == "scaled_euclidean2":
-            scale *= 1.0 if model.sigma is None else float(model.sigma)
-        dirs = rng.normal(size=(n_samples, kmax, d))
+    speed = closed_form_speed(model)
+    if speed is not None:
+        dirs = rng.normal(size=(n_samples, kmax, model.workspace_dim))
         norms = np.linalg.norm(dirs, axis=2, keepdims=True)
         norms[norms == 0.0] = 1.0
         dirs /= norms
-        steps = dirs * durs[:, :, None] * scale
+        steps = dirs * durs[:, :, None] * speed
         pts = np.asarray(q, dtype=float)[None, :] + steps.sum(axis=1)
         return [tuple(p) for p in pts]
 

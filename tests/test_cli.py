@@ -316,6 +316,22 @@ def test_bad_density_file_is_config_error(tmp_path, capsys, header):
     assert "field 'density'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand, spec, field", [
+    ("run-dstsp", {"model": "scaled_euclidean2", "sigma": [1, 2]}, "sigma"),
+    ("run-dstsp", {"model": "scaled_euclidean2", "sigma": "fast"}, "sigma"),
+    ("run-dstsp", {"model": "euclidean2", "c_pi": "fast"}, "c_pi"),
+    ("build-cover", {"model": "reeds_shepp", "r_min": -1}, "r_min"),
+], ids=["sigma-list", "sigma-string", "c_pi-string", "r_min-negative"])
+def test_malformed_model_spec_is_config_error(tmp_path, capsys, subcommand,
+                                              spec, field):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"model": spec}))
+    rc = _main([subcommand, "--config", cfgfile, "--n", "32", "--seeds", "1",
+                "--out", tmp_path / "x.csv"])
+    assert rc == 2
+    assert f"field 'model.{field}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("subcommand, model, extras", [
     ("run-dstsp", "reeds_shepp", {"g_samples": "x"}),
     ("estimate-agility", "euclidean2", {"cells": "ab"}),
@@ -323,7 +339,13 @@ def test_bad_density_file_is_config_error(tmp_path, capsys, header):
     ("estimate-agility", "euclidean2", {"n_samples": 0}),
     ("concentration", "euclidean2", {"trials": 0}),
     ("concentration", "euclidean2", {"m": [4, 0]}),
-], ids=["g_samples", "cells", "headings", "n_samples", "trials", "m"])
+    ("concentration", "euclidean2", {"zeta_exp": [5]}),
+    ("check-bounds", "euclidean2", {"s": 1}),
+    ("check-bounds", "euclidean2", {"b": 1}),
+    ("check-bounds", "euclidean2", {"gamma": 1}),
+    ("check-bounds", "euclidean2", {"alpha": 0}),
+], ids=["g_samples", "cells", "headings", "n_samples", "trials", "m",
+        "zeta_exp", "s", "b", "gamma", "alpha"])
 def test_bad_extras_are_config_errors(tmp_path, capsys, subcommand, model,
                                       extras):
     cfgfile = tmp_path / "c.json"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dstsp_lab import bounds as bnd
 from dstsp_lab import dynamics as dyn
 from dstsp_lab.errors import ConfigError, ControlOutOfRange, NotSymmetric
 from dstsp_lab.seeding import make_rng
@@ -400,6 +401,28 @@ def test_make_model_validation():
         dyn.make_model({"model": "euclidean2", "c_pi": 0.0})
     with pytest.raises(ConfigError):
         dyn.make_model({"model": "reeds_shepp", "r_min": -1.0})
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("sigma", [1, 2]), ("sigma", "2.0"), ("sigma", math.nan),
+    ("sigma", math.inf), ("sigma", -math.inf), ("sigma", 0.0),
+    ("sigma", -1.0), ("sigma", FakeGrid((0.0, 0.0), 1.0, [[1.0, 0.0]])),
+    ("sigma", FakeGrid((0.0,), 1.0, [1.0, 2.0])),
+    ("c_pi", "fast"), ("c_pi", math.nan), ("r_min", math.inf),
+    ("omega_max", None), ("omega_max", [1.0]),
+])
+def test_malformed_model_spec_is_config_error_naming_the_field(key, bad):
+    with pytest.raises(ConfigError, match=key):
+        dyn.make_model({"model": "scaled_euclidean2", key: bad})
+
+
+def test_make_model_resolves_sigma_once():
+    assert scaled(2).sigma == 2.0 and isinstance(scaled(2).sigma, float)
+    assert dyn.make_model({"model": "scaled_euclidean2"}).sigma == 1.0
+    assert dyn.make_model({"model": "euclidean2", "sigma": 3.0}).sigma is None
+    grid = scaled(two_speed_field()).sigma
+    assert isinstance(grid, bnd.GridField)
+    assert grid.values.tolist() == [[1.0], [2.0]]
 
 
 def test_model_dims():
