@@ -217,6 +217,31 @@ def test_hcp_solve_missing_instance_is_config_error(tmp_path, capsys):
     assert "instance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("instance, field", [
+    ({"b": 4, "s": 2, "targets": [[1.5], [2.9, 0.2]]}, "targets[0][0]"),
+    ({"b": 4, "s": 2, "targets": [[1], [2, 0.2]]}, "targets[1][1]"),
+    ({"b": 4, "s": 2, "targets": [[1], ["2"]]}, "targets[1][0]"),
+    ({"b": 4.9, "s": 2, "targets": [[1]]}, "'b'"),
+    ({"b": 4, "s": 2.5, "targets": [[1]]}, "'s'"),
+])
+def test_hcp_solve_non_integer_instance_is_config_error(tmp_path, capsys,
+                                                        instance, field):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(instance))
+    rc = _main(["hcp-solve", "--instance", inst, "--out", tmp_path / "x.json"])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_hcp_solve_accepts_integral_floats(tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"b": 4.0, "s": 2, "targets": [[1.0, 0]]}))
+    out = tmp_path / "plan.json"
+    assert _main(["hcp-solve", "--instance", inst, "--out", out]) == 0
+    assert json.load(open(out))["cost"] == 2.0
+
+
 def test_build_cover_round_trips(tmp_path):
     out = tmp_path / "cover.json"
     rc = _main(["build-cover", "--model", "euclidean2", "--eps0", "0.25",

@@ -1,8 +1,9 @@
 """Report digests: small CLI runs must write byte-identical reports.
 
 tests/golden_reports.json holds each run's argument list (its config file,
-if any, inline), the sha256 of the report it writes, and the Python, numpy
-and platform that produced the digests. A change that alters a report
+if any, inline, and its instance file, if any, by name in tests/), the
+sha256 of the report it writes, and the Python, numpy and platform that
+produced the digests. A change that alters a report
 updates that file in the same diff and says why. Rerecord with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -34,6 +35,8 @@ def report_digest(run, workdir):
         cfg = workdir / f"{run['name']}.config.json"
         cfg.write_text(json.dumps(run["config"]))
         argv += ["--config", str(cfg)]
+    if "instance" in run:
+        argv += ["--instance", str(GOLDEN.with_name(run["instance"]))]
     out = workdir / f"{run['name']}.{run.get('ext', 'csv')}"
     rc = cli.main(argv + ["--seed", "0", "--out", str(out)])
     assert rc == 0, f"{run['name']}: exit code {rc}"

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -247,6 +248,28 @@ def test_instance_rejects_bad_and_duplicate_paths():
     # trailing zeros are the implicit continuation: the same path
     with pytest.raises(ValueError, match="duplicate"):
         inst(4, 2, [[0, 1], [0, 1, 0]])
+
+    # from _LEVELS_MIN targets the paths are checked as one digit array
+    many = [[k % 4, k // 4 % 4, k // 16 % 4, k // 64] for k in range(1, 256)]
+    assert len(many) >= hcp._LEVELS_MIN
+    for bad in ([0, 4], [-1], [1.5], [0, math.nan], ["a"], [True, 5]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"target path {tuple(bad)} has an index")):
+            inst(4, 2, many + [bad])
+    with pytest.raises(ValueError, match=r"duplicate target path \(1, 0\)$"):
+        inst(4, 2, [[1]] + many[1:] + [[1, 0]])
+    with pytest.raises(ValueError, match=r"duplicate target path \(1,\)$"):
+        inst(4, 2, [[1, 0, 0]] + many[1:] + [[1]])
+    # the first offender is named, a duplicate before a bad index
+    with pytest.raises(ValueError, match=r"duplicate target path \(2, 0\)$"):
+        inst(4, 2, many + [[2, 0], [7]])
+    with pytest.raises(ValueError, match="index"):
+        inst(4, 2, many + [[7], [2, 0]])
+    assert many[4] == [1, 1, 0, 0]
+    accepted = inst(4, 2, many[:4] + [[1.0, True, 0.0]] + many[5:])
+    assert accepted.n == len(many)
+    assert hcp.optimal_cost_fast(accepted) == \
+        hcp.optimal_cost_fast(inst(4, 2, many))
 
 
 # ------------------------------------------------------------ serialization
