@@ -36,6 +36,8 @@ _TWO_PI = 2.0 * math.pi
 _CTRL_TOL = 1e-9
 # cell-walk guard for the scaled model; generous for any sane field
 _MAX_MARCH_STEPS = 100_000
+# final headings a heading-free car steer tries, besides the start heading
+_HEADINGS = 16
 
 MODEL_IDS = ("euclidean2", "euclidean3", "scaled_euclidean2",
              "reeds_shepp", "diff_drive")
@@ -142,7 +144,9 @@ def _cells_along(grid, p, u):
     Yields (sigma, start, s_exit) per cell: its value, the point where the
     line enters it and the parameter, counted from that point, at which the
     line leaves it (inf if it never does). Each next start lands exactly on
-    the exit plane, and the field extends past its bounds by its edge cells.
+    the exit plane. The field extends past its bounds by its edge cells, so
+    outside them sigma is constant along an axis: there the next plane on
+    that axis is the field's edge, or none when the line moves away.
     """
     origin, h, vals = grid.origin, grid.cell_size, grid.values
     top = [n - 1 for n in vals.shape]
@@ -153,19 +157,23 @@ def _cells_along(grid, p, u):
         for i, ui in enumerate(u):
             k = math.floor((pos[i] - origin[i]) / h)
             # a point on a cell plane belongs to the cell the line moves
-            # into, whichever way the division rounded
+            # into, whichever way the division rounded. ahead indexes the
+            # next plane on this axis: a cell plane or edge of the field,
+            # none of the clamped planes outside it
+            ahead = None
             if ui > 0.0:
-                bound = origin[i] + (k + 1) * h
-                if pos[i] >= bound:
+                if pos[i] >= origin[i] + (k + 1) * h:
                     k += 1
-                    bound = origin[i] + (k + 1) * h
+                if k <= top[i]:
+                    ahead = max(k, -1) + 1
             elif ui < 0.0:
-                bound = origin[i] + k * h
-                if pos[i] <= bound:
+                if pos[i] <= origin[i] + k * h:
                     k -= 1
-                    bound = origin[i] + k * h
+                if k >= 0:
+                    ahead = min(k, top[i] + 1)
             cell.append(min(max(k, 0), top[i]))
-            if ui != 0.0:
+            if ahead is not None:
+                bound = origin[i] + ahead * h
                 si = (bound - pos[i]) / ui
                 if si < s_exit:
                     s_exit, axis, plane = si, i, bound
@@ -374,7 +382,7 @@ def steer(model, q0, q1):
     raise ConfigError(f"unknown model {mid!r}")
 
 
-def steer_to_point(model, q0, point, headings=16):
+def steer_to_point(model, q0, point, headings=_HEADINGS):
     """Trajectory from q0 to a workspace point, final heading free.
 
     Heading-free steering for reeds_shepp minimizes over a heading grid plus
@@ -389,14 +397,31 @@ def steer_to_point(model, q0, point, headings=16):
                                  final_heading=False)
     if mid == "reeds_shepp":
         best = None
-        candidates = [float(q0[2])]
-        candidates.extend(_TWO_PI * k / headings for k in range(headings))
-        for h in candidates:
+        for h in _free_headings(q0, headings):
             traj = steer(model, q0, (point[0], point[1], h))
             if best is None or traj.duration < best.duration:
                 best = traj
         return best
     raise ConfigError(f"unknown model {mid!r}")
+
+
+def _free_headings(q0, headings):
+    # the start heading, then the grid
+    yield float(q0[2])
+    for k in range(headings):
+        yield _TWO_PI * k / headings
+
+
+def reaches_within(model, q0, point, limit):
+    """Whether steer_to_point(model, q0, point) takes at most limit.
+
+    For reeds_shepp the first final heading that steers within the limit
+    decides, so the remaining headings are never steered.
+    """
+    if model.model_id == "reeds_shepp":
+        return any(steer(model, q0, (point[0], point[1], h)).duration <= limit
+                   for h in _free_headings(q0, _HEADINGS))
+    return steer_to_point(model, q0, point).duration <= limit
 
 
 def _reverse_control(model, control):
@@ -410,13 +435,17 @@ def _reverse_control(model, control):
     raise ConfigError(f"unknown model {mid!r}")
 
 
+def reversed_segments(model, segments):
+    """The segments that trace the same workspace curve backwards."""
+    return [(_reverse_control(model, c), d) for c, d in reversed(segments)]
+
+
 def reverse_trajectory(traj):
     """Same workspace curve traversed backwards; duration unchanged."""
     if not traj.model.symmetric:
         raise NotSymmetric("model does not admit trajectory reversal")
-    segments = tuple((_reverse_control(traj.model, c), d)
-                     for c, d in reversed(traj.segments))
-    return Trajectory(traj.model, traj.endpoint(), segments)
+    return Trajectory(traj.model, traj.endpoint(),
+                      tuple(reversed_segments(traj.model, traj.segments)))
 
 
 def _simplex_durations(rng, counts, eps):

@@ -285,8 +285,7 @@ def measure_alpha(cell, model, g_hat, n_samples, rng, tol=1e-9):
     reachable = 0
     pts = cell.sample_points(n_samples, rng)
     for p in pts:
-        traj = dyn.steer_to_point(model, cell.anchor, p)
-        if traj.duration <= cell.eps * (1.0 + tol):
+        if dyn.reaches_within(model, cell.anchor, p, cell.eps * (1.0 + tol)):
             reachable += 1
     frac = reachable / len(pts)
     if frac < 0.99:

@@ -19,6 +19,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import hcp
 from . import hcs
+from . import reeds_shepp as rs
 from .errors import NotSymmetric, OutOfSupport, TargetOutsideCover, TooLarge
 from .seeding import make_rng
 
@@ -126,15 +127,54 @@ class _Buckets:
         return out
 
 
-def _nearest_neighbour_order(pts, norm, cost, per_length):
+def _curvature_bound(model, anchors):
+    """lower(i, j), a lower bound on the car's steer time between anchors i
+    and j, slack included.
+
+    A path of length L with curvature at most 1/r turns its heading by at
+    most L/r, and while L <= pi*r/2 its lateral offset in the start frame is
+    at most r*(1 - cos(L/r)). So L >= r*|dtheta| and
+    L >= r*acos(1 - min(|y|/r, 1)), computed here as 2*r*asin(sqrt(v/2)),
+    v = min(|y|/r, 1), which keeps its precision for small offsets (Dubins,
+    Amer. J. Math. 1957; Reeds and Shepp, Pacific J. Math. 1990). The
+    optimal path reversed is a path back, so y may be taken in either
+    endpoint's frame. A steer may end up to rs._EPS radii and radians off
+    its goal, so distance, offset and turn are first reduced by that much.
+    """
+    r = model.r_min
+    per_length = (1.0 - _BOUND_SLACK) / model.c_pi
+    xs = [float(a[0]) for a in anchors]
+    ys = [float(a[1]) for a in anchors]
+    ths = [float(a[2]) for a in anchors]
+    coss = [math.cos(th) for th in ths]
+    sins = [math.sin(th) for th in ths]
+
+    def lower(i, j):
+        dx = xs[j] - xs[i]
+        dy = ys[j] - ys[i]
+        d = math.sqrt(dx * dx + dy * dy)
+        # an end rs._EPS radii off moves d and y by up to twice that, a
+        # heading rs._EPS off moves the goal frame's y by up to d * rs._EPS
+        lateral = max(abs(dy * coss[i] - dx * sins[i]),
+                      abs(dy * coss[j] - dx * sins[j]))
+        lateral = max(lateral - rs._EPS * (2.0 * r + d), 0.0)
+        turn = max(abs(rs.wrap_pi(ths[j] - ths[i])) - 2.0 * rs._EPS, 0.0)
+        offset = 2.0 * math.asin(math.sqrt(min(lateral / r, 1.0) / 2.0))
+        return max(d - 2.0 * rs._EPS * r, r * max(turn, offset)) * per_length
+    return lower
+
+
+def _nearest_neighbour_order(pts, norm, per_length, cost=None, lower=None):
     """Greedy open path from anchor 0: the cheapest remaining anchor next,
     ties to the lower index.
 
     cost(i, j) is the exact cost, or None when the cost is norm(i, j)
-    itself; per_length * norm(i, j) never exceeds it. Buckets are searched
-    ring by ring until the unseen rings, so bounded, cannot beat the best
-    cost. The grid is rebuilt when the remaining anchors fall to a quarter
-    of those it was built on, so late searches do not walk empty buckets.
+    itself; per_length * norm(i, j) never exceeds it. lower(i, j), given
+    with cost, never exceeds cost either and is checked before cost is
+    called. Buckets are searched ring by ring until the unseen rings, so
+    bounded, cannot beat the best cost. The grid is rebuilt when the
+    remaining anchors fall to a quarter of those it was built on, so late
+    searches do not walk empty buckets.
     """
     m = len(pts)
     order = [0]
@@ -154,10 +194,11 @@ def _nearest_neighbour_order(pts, norm, cost, per_length):
             if found is None:
                 break
             for j in found:
-                c = norm(last, j)
-                if cost is not None:
-                    if c * per_length > reach:
-                        continue
+                if cost is None:
+                    c = norm(last, j)
+                elif lower(last, j) > reach:
+                    continue
+                else:
                     c = cost(last, j)
                 if (c, j) < best:
                     best = (c, j)
@@ -167,12 +208,14 @@ def _nearest_neighbour_order(pts, norm, cost, per_length):
     return order
 
 
-def _two_opt(order, leg, exact=None):
+def _two_opt(order, leg, exact=None, lower=None):
     """Windowed 2-opt on the open path, in place: up to four passes over
     the reversals of order[i+1 .. j], j < i + 10, first improvement taken.
 
     exact(i, j), where given, decides the comparisons that leg's rounding
-    leaves too close to call.
+    leaves too close to call. lower(i, j), where given, never exceeds
+    leg(i, j): a reversal whose new edges cost no less than the old ones
+    by their bounds alone is passed over without calling leg.
     """
     m = len(order)
     edge = [leg(order[k], order[k + 1]) for k in range(m - 1)]
@@ -185,6 +228,8 @@ def _two_opt(order, leg, exact=None):
                 # (i+1, j+1)
                 b, c, d = order[i + 1], order[j], order[j + 1]
                 before = edge[i] + edge[j]
+                if lower is not None and lower(a, c) + lower(b, d) >= before:
+                    continue
                 ac = leg(a, c)
                 bd = leg(b, d)
                 after = ac + bd
@@ -230,7 +275,7 @@ def roots_tour(model, anchors):
             # flip a 2-opt comparison
             return float(np.linalg.norm(arr[i] - arr[j])) / speed
 
-        order = _nearest_neighbour_order(pts, norm, None, 1.0)
+        order = _nearest_neighbour_order(pts, norm, 1.0)
         _two_opt(order, leg, exact)
     else:
         cache = {}
@@ -244,9 +289,14 @@ def roots_tour(model, anchors):
             return t
 
         exact = leg
-        order = _nearest_neighbour_order(pts, norm, leg,
-                                         1.0 / model.speed_limit())
-        _two_opt(order, leg)
+        per_length = 1.0 / model.speed_limit()
+        if model.model_id == "reeds_shepp":
+            lower = _curvature_bound(model, anchors)
+        else:
+            def lower(i, j):
+                return norm(i, j) * per_length * (1.0 - _BOUND_SLACK)
+        order = _nearest_neighbour_order(pts, norm, per_length, leg, lower)
+        _two_opt(order, leg, lower=lower)
     time = sum(exact(order[k], order[k + 1]) for k in range(m - 1))
     return [anchors[i] for i in order], float(time)
 
@@ -299,9 +349,14 @@ def _realize_root(model, cover, root_idx, ids_points, depth):
             for tid in groups[paths[action[1]]]:
                 cfg = _target_config(model, stack[-1], by_id[tid])
                 out = dyn.steer(model, stack[-1].anchor, cfg)
-                push(out)
+                # out and back the same way: fsum rounds correctly, so the
+                # way back takes out's duration again
+                d = out.duration
+                segments.extend(out.segments)
+                t += d
                 visits.append((tid, t))
-                push(dyn.reverse_trajectory(out))
+                segments.extend(dyn.reversed_segments(model, out.segments))
+                t += d
     if len(stack) != 1:
         raise RuntimeError("plan did not return to the root")
     return segments, visits, t

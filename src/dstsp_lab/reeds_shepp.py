@@ -3,10 +3,11 @@
 Classic closed-form families for a unit-turning-radius car that drives both
 forwards and backwards at unit speed. Each family is produced in a canonical
 frame (start at the origin facing +x, goal scaled by the turning radius) and
-expanded through the timeflip/reflect symmetries into the full word set. Every
-candidate word is re-integrated in closed form and discarded unless it lands
-on the goal, so a formula glitch can never corrupt the minimum; the optimum
-family always survives.
+expanded through the timeflip/reflect symmetries into the full word set.
+shortest_word prices every candidate, then re-integrates them in closed form,
+shortest first, and returns the first that lands on the goal: a formula glitch
+can never corrupt the minimum, and the words longer than the answer are never
+integrated.
 
 A word element is (param, steering, gear): param >= 0 is the arc angle (turns)
 or normalized length (straights), steering is +1 left / 0 straight / -1 right,
@@ -258,40 +259,42 @@ def _lands_on(word, x, y, phi):
     )
 
 
-def candidate_words(x, y, phi):
-    """All validated words reaching (x, y, phi) in the canonical frame."""
-    variants = (
-        (x, y, phi, None),
-        (-x, y, -phi, "timeflip"),
-        (x, -y, -phi, "reflect"),
-        (-x, -y, phi, "both"),
-    )
-    words = []
-    for family in _FAMILIES:
-        for vx, vy, vphi, transform in variants:
-            word = family(vx, vy, vphi)
-            if word is None:
-                continue
-            if transform in ("timeflip", "both"):
-                word = _timeflip(word)
-            if transform in ("reflect", "both"):
-                word = _reflect(word)
-            word = [e for e in word if e[0] > _EPS]
-            if _lands_on(word, x, y, phi):
-                words.append(word)
-    return words
-
-
 def word_length(word):
     return sum(p for p, _, _ in word)
 
 
 def shortest_word(x, y, phi):
-    """Minimum-length validated word to (x, y, phi) in the canonical frame."""
-    words = candidate_words(x, y, phi)
-    if not words:
-        raise RuntimeError(
-            f"no valid word found for goal ({x}, {y}, {phi}); "
-            "this should be unreachable for the full family set"
-        )
-    return min(words, key=word_length)
+    """Minimum-length validated word to (x, y, phi) in the canonical frame.
+
+    Ties go to the first word in family-then-variant order. Every candidate
+    is priced first; they are validated shortest first, and the first that
+    lands is the answer.
+    """
+    variants = (
+        (x, y, phi, False, False),
+        (-x, y, -phi, True, False),     # timeflip
+        (x, -y, -phi, False, True),     # reflect
+        (-x, -y, phi, True, True),      # both
+    )
+    candidates = []
+    for family in _FAMILIES:
+        for vx, vy, vphi, flip, mirror in variants:
+            word = family(vx, vy, vphi)
+            if word is None:
+                continue
+            # word_length of the word without its elements of at most _EPS
+            length = sum([p for p, _, _ in word if p > _EPS])
+            candidates.append((length, len(candidates), word, flip, mirror))
+    candidates.sort()   # by (length, generation index), which are unique
+    for _, _, word, flip, mirror in candidates:
+        word = [e for e in word if e[0] > _EPS]
+        if flip:
+            word = _timeflip(word)
+        if mirror:
+            word = _reflect(word)
+        if _lands_on(word, x, y, phi):
+            return word
+    raise RuntimeError(
+        f"no valid word found for goal ({x}, {y}, {phi}); "
+        "this should be unreachable for the full family set"
+    )

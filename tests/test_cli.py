@@ -313,6 +313,29 @@ def test_run_adversarial_covers_three_densities(tmp_path):
     assert len(rows) == 6
 
 
+def test_run_adversarial_with_a_field_far_finer_than_the_square(tmp_path):
+    # a 2 x 2 field of 1e-6 cells at the origin: the unit square lies in
+    # its clamped outside, about 10^6 cells per unit, where the cell walk
+    # used to give up; there sigma is values[1][1] = 1, so the tours are
+    # those of a one-cell field of 1
+    rows = {}
+    for name, cell, values in [("fine", 1e-6, [[1.0, 2.0], [2.0, 1.0]]),
+                               ("one", 1.0, [[1.0]])]:
+        cfgfile = tmp_path / f"{name}.json"
+        cfgfile.write_text(json.dumps({"extras": {"sigma_grid": {
+            "origin": [0, 0], "cell_size": cell, "values": values}}}))
+        out = tmp_path / f"{name}.csv"
+        rc = _main(["run-adversarial", "--config", cfgfile, "--n", "64",
+                    "--seeds", "1", "--out", out])
+        assert rc == 0
+        rows[name] = list(csv.DictReader(open(out)))
+    assert len(rows["fine"]) == 3
+    for fine, one in zip(rows["fine"], rows["one"]):
+        assert fine["density"] == one["density"]
+        assert float(fine["tour_time"]) == pytest.approx(
+            float(one["tour_time"]), rel=1e-12)
+
+
 def test_density_file_input(tmp_path):
     import numpy as np
     field = bnd.GridField((0.0, 0.0), 1.0 / 16,

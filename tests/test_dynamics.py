@@ -277,6 +277,29 @@ def test_steer_reeds_shepp_at_least_euclidean():
         assert dyn.steer(model, q0, q1).duration >= d - 1e-9
 
 
+def test_reaches_within_matches_steer_to_point():
+    # reaches_within stops at the first heading that makes the limit; the
+    # answer must be steer_to_point's, limits at its duration included
+    rng = make_rng(20260819, 9)
+    models = all_models() + [dyn.make_model(
+        {"model": "reeds_shepp", "r_min": 2.0, "c_pi": 0.7})]
+    for model in models:
+        for _ in range(12):
+            q0 = random_config(model, rng)
+            point = random_config(model, rng, span=1.5)[:model.workspace_dim]
+            t = dyn.steer_to_point(model, q0, point).duration
+            for limit in (0.0, 0.5 * t, math.nextafter(t, 0.0), t,
+                          math.nextafter(t, math.inf), 2.0 * t, 1e-3,
+                          float(rng.uniform(0.0, 6.0))):
+                assert dyn.reaches_within(model, q0, point, limit) == \
+                    (t <= limit)
+        # a point at the start
+        q0 = random_config(model, rng)
+        point = q0[:model.workspace_dim]
+        assert dyn.reaches_within(model, q0, point, 0.0) == \
+            (dyn.steer_to_point(model, q0, point).duration <= 0.0)
+
+
 def test_speed_limit_along_trajectories():
     rng = make_rng(20260819, 6)
     for model in all_models():

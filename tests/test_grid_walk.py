@@ -2,11 +2,15 @@
 
 reference_march_scaled and reference_steer_scaled are dynamics'
 integrate and steer for a gridded speed field as they were before both
-went through one cell walk. steer must keep the old segments bit for bit
-(the tour reports sum them); integrate advances in arc length instead of
-time, so it agrees to rounding, not bit for bit.
+went through one cell walk. On lines inside the field steer must keep
+the old segments bit for bit (the tour reports sum them). Past the field's
+edge the old loops stepped through the clamped edge cells one at a time and
+the walk crosses them in one step, so on lines that leave the field steer
+agrees with them in duration and endpoint, to rounding. integrate advances
+in arc length instead of time, so it agrees to rounding, not bit for bit.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -185,6 +189,46 @@ def walks(draw):
     return model, q0, q1, control, draw(st.floats(0.0, 4.0))
 
 
+def in_field(grid, q):
+    """q in the closed box the field's cells cover."""
+    return all(o <= x <= o + n * grid.cell_size
+               for o, x, n in zip(grid.origin, q, grid.dims))
+
+
+def leading_cells_in_field(model, q0, q1, count):
+    """How many of the first count cells that the steer from q0 to q1
+    crosses lie in the field: cells entered at a point of its closed box,
+    other than an edge the line moves out through."""
+    if count == 0:
+        return 0
+    grid = model.sigma
+    delta = [float(b) - float(a) for a, b in zip(q0, q1)]
+    dist = math.hypot(*delta)
+    u = tuple(d / dist for d in delta)
+    walk = itertools.islice(dyn._cells_along(grid, q0, u), count)
+    for k, (_, pos, _) in enumerate(walk):
+        for o, x, n, ui in zip(grid.origin, pos, grid.dims, u):
+            far = o + n * grid.cell_size
+            if not o <= x <= far or (x == far and ui > 0.0) \
+                    or (x == o and ui < 0.0):
+                return k
+    return count
+
+
+def assert_same_steer(model, q0, q1, traj, want):
+    """traj as the reference steer want: bit for bit on lines inside the
+    field, and on lines that leave it up to the first cell outside; from
+    there on in duration, to rounding."""
+    if in_field(model.sigma, q0) and in_field(model.sigma, q1):
+        assert (traj.start, traj.segments) == want
+    else:
+        assert traj.start == want[0]
+        m = leading_cells_in_field(model, q0, q1, len(traj.segments))
+        assert traj.segments[:m] == want[1][:m]
+        assert traj.duration == pytest.approx(
+            math.fsum(d for _, d in want[1]), rel=1e-12, abs=1e-15)
+
+
 # --- properties -------------------------------------------------------------
 
 @settings(max_examples=300)
@@ -194,7 +238,7 @@ def test_grid_walk_matches_the_frozen_loops(walk):
     traj = dyn.steer(model, q0, q1)
     want = reference_or_stall(reference_steer_scaled, model, q0, q1)
     if want is not None:
-        assert (traj.start, traj.segments) == want
+        assert_same_steer(model, q0, q1, traj, want)
     got = dyn.integrate(model, q0, control, dt)
     want = reference_or_stall(reference_march_scaled, model, q0, control, dt)
     if want is not None:
@@ -226,9 +270,43 @@ def test_grid_walk_on_cell_corners_and_planes():
                    ((0.5, -1.0), (0.5, 2.0)), ((1.5, 0.5), (-1.0, 0.5)),
                    ((0.25, 0.25), (0.25, 0.25))]:
         traj = dyn.steer(model, q0, q1)
-        assert (traj.start, traj.segments) == \
-            reference_steer_scaled(model, q0, q1)
+        assert_same_steer(model, q0, q1, traj,
+                          reference_steer_scaled(model, q0, q1))
+        assert traj.endpoint() == pytest.approx(q1, abs=1e-12)
         for control in [(1.0, 0.0), (0.0, -1.0), (-0.6, 0.8), (0.0, 0.0)]:
             got = dyn.integrate(model, q0, control, 0.7)
             want = reference_march_scaled(model, q0, control, 0.7)
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+
+
+def test_grid_walk_crosses_the_outside_of_a_fine_field_in_one_step():
+    # a 2 x 2 field of 1e-6 cells at the origin: lines in the unit square
+    # lie about 10^6 clamped cells away from it, which the old loops (and
+    # run-adversarial with this extras.sigma_grid) gave up on
+    grid = bnd.GridField((0.0, 0.0), 1e-6, np.array([[1.0, 2.0],
+                                                     [2.0, 0.5]]))
+    model = dyn.make_model({"model": "scaled_euclidean2", "sigma": grid,
+                            "c_pi": 1.5})
+    for q0, q1, sigma in [((0.2, 0.3), (0.9, 0.7), 0.5),
+                          ((0.9, 0.7), (0.2, 0.3), 0.5),
+                          ((0.5, 0.1), (0.5, 0.8), 0.5),
+                          ((-0.5, 0.3), (-0.2, 0.9), 2.0),
+                          ((-0.25, -0.75), (-0.5, -0.1), 1.0)]:
+        traj = dyn.steer(model, q0, q1)
+        assert len(traj.segments) == 1
+        assert traj.duration == pytest.approx(
+            math.dist(q0, q1) / (1.5 * sigma), rel=1e-12)
+        assert traj.endpoint() == pytest.approx(q1, abs=1e-12)
+    end = dyn.integrate(model, (0.5, 0.5), (0.6, -0.8), 0.5)
+    assert end == pytest.approx((0.725, 0.2), abs=1e-12)
+    # lines moving away from a coarse field, starting outside it
+    coarse = dyn.make_model({"model": "scaled_euclidean2",
+                             "sigma": bnd.GridField((0.0, 0.0), 0.5, np.array(
+                                 [[1.0, 2.0], [3.0, 4.0]]))})
+    for q0, q1 in [((-0.75, 0.25), (-3.0, 0.25)), ((1.75, 1.6), (4.0, 3.0)),
+                   ((0.25, -1.5), (0.3, -4.0))]:
+        assert len(dyn.steer(coarse, q0, q1).segments) == 1
+    # a line through the field: one step to its edge, the cells, one step out
+    traj = dyn.steer(model, (-1.0, -1.0), (1.0, 1.0))
+    assert len(traj.segments) <= 8
+    assert traj.endpoint() == pytest.approx((1.0, 1.0), abs=1e-12)

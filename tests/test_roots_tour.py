@@ -38,6 +38,10 @@ MODELS = {
     "scaled_grid": dyn.make_model({"model": "scaled_euclidean2",
                                    "sigma": _speed_field()}),
     "reeds_shepp": dyn.make_model({"model": "reeds_shepp"}),
+    "reeds_shepp_wide": dyn.make_model({"model": "reeds_shepp",
+                                        "r_min": 2.0, "c_pi": 0.8}),
+    "reeds_shepp_tight": dyn.make_model({"model": "reeds_shepp",
+                                         "r_min": 0.5, "c_pi": 1.5}),
 }
 
 
@@ -166,6 +170,8 @@ _LATTICES = {
     "scaled_constant": [(0.1, 0.6), (0.04, 0.3)],
     "scaled_grid": [(0.1, 0.5), (0.2, 1.0)],
     "reeds_shepp": [(0.4, 0.5), (0.5, 1.0)],
+    "reeds_shepp_wide": [(0.5, 0.5), (0.8, 1.0)],
+    "reeds_shepp_tight": [(0.2, 0.6), (0.3, 1.0)],
 }
 
 
@@ -181,7 +187,8 @@ def test_roots_tour_matches_reference_on_cover_lattices(name):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_roots_tour_matches_reference_on_random_anchors(name):
     model = MODELS[name]
-    sizes = (40, 80) if name in ("scaled_grid", "reeds_shepp") else (60, 400)
+    steered = name == "scaled_grid" or name.startswith("reeds_shepp")
+    sizes = (40, 80) if steered else (60, 400)
     for seed, m in enumerate(sizes):
         _assert_same_tour(model, _random_anchors(model, m, seed))
 
@@ -221,6 +228,50 @@ def test_roots_tour_order_matches_reference_property(cells, h):
     model = MODELS["euclidean2"]
     anchors = [((i + 0.5) * h, (j + 0.5) * h) for i, j in cells]
     _assert_same_tour(model, anchors)
+
+
+@st.composite
+def car_moves(draw):
+    """A car, a start and a goal: anywhere, a turn on the spot, a pure
+    lateral offset or a move straight ahead or back."""
+    model = dyn.make_model({"model": "reeds_shepp",
+                            "r_min": draw(st.sampled_from([0.5, 1.0, 2.0])),
+                            "c_pi": draw(st.sampled_from([0.7, 1.5]))})
+    coord = st.floats(-3.0, 3.0)
+    heading = st.floats(0.0, 2.0 * math.pi)
+    x, y, th = draw(coord), draw(coord), draw(heading)
+    kind = draw(st.sampled_from(["any", "turn", "lateral", "ahead"]))
+    if kind == "any":
+        goal = (draw(coord), draw(coord), draw(heading))
+    elif kind == "turn":
+        goal = (x, y, draw(heading))
+    else:
+        d = draw(st.one_of(st.floats(-4.0, 4.0), st.floats(-1e-3, 1e-3)))
+        ux, uy = (-math.sin(th), math.cos(th)) if kind == "lateral" \
+            else (math.cos(th), math.sin(th))
+        goal = (x + d * ux, y + d * uy, th)
+    return model, (x, y, th), goal
+
+
+@settings(max_examples=400)
+@given(car_moves())
+def test_curvature_bound_never_exceeds_the_steer_time(move):
+    model, q0, q1 = move
+    lower = planner._curvature_bound(model, [q0, q1])
+    assert lower(0, 1) <= dyn.steer(model, q0, q1).duration
+    assert lower(1, 0) <= dyn.steer(model, q1, q0).duration
+
+
+def test_curvature_bound_beats_the_euclidean_bound_on_turns_and_offsets():
+    model = MODELS["reeds_shepp_wide"]
+    for q1 in [(0.0, 0.0, 1.0), (0.0, 0.05, 0.0), (0.01, -0.3, 0.0)]:
+        lower = planner._curvature_bound(model, [(0.0, 0.0, 0.0), q1])
+        euclid = math.hypot(q1[0], q1[1]) / model.c_pi
+        t = dyn.steer(model, (0.0, 0.0, 0.0), q1).duration
+        assert euclid < 0.5 * lower(0, 1) and lower(0, 1) <= t
+    # straight ahead it is the distance itself, less the slack
+    lower = planner._curvature_bound(model, [(0.0, 0.0, 0.0), (0.7, 0.0, 0.0)])
+    assert lower(0, 1) == pytest.approx(0.7 / model.c_pi, rel=1e-8)
 
 
 def _same_cells(a, b):
