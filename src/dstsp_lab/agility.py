@@ -7,6 +7,11 @@ smallest scales) from sampled reachable points, using an occupancy grid as
 the volume oracle. Occupancy grids stay unbiased on nonconvex reachable sets,
 which rules out convex hulls; the price is sample count.
 
+The samples stay one (n, d) array from dynamics.sample_reachable to
+grid_volume, which counts the occupied boxes with one lexsort over their
+int64 indices. Non-finite points are rejected (OutOfSupport), never counted
+as a box.
+
 agility_field maps a workspace grid cell by cell. For models with a heading,
 the per-cell value takes the max over a small set of sampled headings (the
 estimates agree within noise for all implemented models, so this realizes
@@ -20,7 +25,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from .bounds import GridField
-from .errors import DegenerateFit, EmptyPointSet
+from .errors import DegenerateFit, EmptyPointSet, OutOfSupport
 from .seeding import make_rng
 
 _TWO_PI = 2.0 * math.pi
@@ -28,16 +33,28 @@ _TWO_PI = 2.0 * math.pi
 
 def grid_volume(points, resolution):
     """Occupied-box volume: count distinct boxes of side `resolution`
-    containing at least one point, times box volume."""
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
+    containing at least one point, times box volume.
+
+    points is an (n, d) array or sequence of points (1-D input is read as
+    n points on a line). The int64 box indices are sorted row-wise by one
+    lexsort, and the distinct boxes are the rows that differ from their
+    predecessor. A non-finite point, or one whose box index does not fit
+    in int64, raises OutOfSupport; resolution must be finite and positive.
+    """
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise ValueError("resolution must be finite and positive")
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         raise EmptyPointSet("no points to measure")
     if pts.ndim == 1:
         pts = pts[:, None]
-    boxes = np.unique(np.floor(pts / resolution).astype(np.int64), axis=0)
-    return float(boxes.shape[0]) * resolution ** pts.shape[1]
+    cells = np.floor(pts / resolution)
+    if not (np.abs(cells) < 2.0 ** 63).all():
+        raise OutOfSupport("points must be finite, with box indices in int64")
+    boxes = cells.astype(np.int64)
+    boxes = boxes[np.lexsort(boxes.T)]
+    distinct = 1 + np.count_nonzero((boxes[1:] != boxes[:-1]).any(axis=1))
+    return float(distinct) * resolution ** pts.shape[1]
 
 
 def eps_ladder(eps0, count=5, factor=2.0):

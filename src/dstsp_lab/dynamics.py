@@ -466,7 +466,8 @@ def _simplex_durations(rng, counts, eps):
 
 
 def sample_reachable(model, q, eps, n_samples, rng):
-    """Endpoints of n_samples random bang-bang trajectories of length eps.
+    """Endpoints of n_samples random bang-bang trajectories of length eps,
+    as one (n_samples, workspace_dim) float64 array.
 
     Every returned workspace point is reachable from q within time eps by
     construction. Controls are piecewise constant with 1 to 4 pieces.
@@ -487,18 +488,20 @@ def sample_reachable(model, q, eps, n_samples, rng):
         norms[norms == 0.0] = 1.0
         dirs /= norms
         steps = dirs * durs[:, :, None] * speed
-        pts = np.asarray(q, dtype=float)[None, :] + steps.sum(axis=1)
-        return [tuple(p) for p in pts]
+        return np.asarray(q, dtype=float)[None, :] + steps.sum(axis=1)
 
     if mid == "scaled_euclidean2":
-        pts = []
+        # one angle per piece, in sample-then-piece order
+        angles = iter((rng.random(int(counts.sum())) * _TWO_PI).tolist())
+        start = tuple(map(float, q))
+        pts = np.empty((n_samples, 2))
         for i in range(n_samples):
-            qq = tuple(map(float, q))
+            qq = start
             for j in range(int(counts[i])):
-                ang = rng.random() * _TWO_PI
+                ang = next(angles)
                 u = (math.cos(ang), math.sin(ang))
                 qq = integrate(model, qq, u, durs[i, j])
-            pts.append(qq)
+            pts[i] = qq
         return pts
 
     if mid in ("reeds_shepp", "diff_drive"):
@@ -530,6 +533,6 @@ def sample_reachable(model, q, eps, n_samples, rng):
             y = np.where(straight, y + v * np.sin(th) * dt,
                          y - radius * (np.cos(th1) - np.cos(th)))
             th = th1
-        return [(float(xi), float(yi)) for xi, yi in zip(x, y)]
+        return np.stack([x, y], axis=1)
 
     raise ConfigError(f"unknown model {mid!r}")

@@ -49,12 +49,15 @@ def exact_binom_zeta_diff(n, p, zeta_exp):
     if p == 1.0:
         return _pow_zeta(n + 1, zeta_exp) - _pow_zeta(n, zeta_exp)
     log_p, log_q = math.log(p), math.log(1.0 - p)
+    log_n_fact = math.lgamma(n + 1)
     total = 0.0
+    pow_k = _pow_zeta(0, zeta_exp)
     for k in range(n + 1):
-        log_w = (math.lgamma(n + 1) - math.lgamma(k + 1)
+        log_w = (log_n_fact - math.lgamma(k + 1)
                  - math.lgamma(n - k + 1) + k * log_p + (n - k) * log_q)
-        total += math.exp(log_w) * (_pow_zeta(k + 1, zeta_exp)
-                                    - _pow_zeta(k, zeta_exp))
+        pow_next = _pow_zeta(k + 1, zeta_exp)
+        total += math.exp(log_w) * (pow_next - pow_k)
+        pow_k = pow_next
     return total
 
 

@@ -410,7 +410,8 @@ def test_sample_reachable_deterministic():
                              make_rng(77, 5))
     b = dyn.sample_reachable(model, (0.0, 0.0, 0.0), 0.4, 64,
                              make_rng(77, 5))
-    assert a == b
+    assert a.shape == (64, 2)
+    assert np.array_equal(a, b)
 
 
 # --- configuration ------------------------------------------------------
