@@ -10,11 +10,13 @@ child_cell builds one child at a time, so a walk down the tree builds only
 the cells it enters; build_hcs builds whole trees from it.
 
 A cover tiles a rectangular support with root cells as half-open boxes, so
-every point belongs to exactly one root (overlap mass zero). locate_path
-extends that tiling into the subdivision tree, returning a per-level child
-index in the mixed radix determined by the split counts (axis 0 least
-significant); path_in_root does the descent alone, for a point whose root
-is already known.
+every point belongs to exactly one root (overlap mass zero). root_indices
+locates a whole array of points in one numpy pass, and descend extends the
+tiling into the subdivision tree, one per-level child index per point in
+the mixed radix determined by the split counts (axis 0 least significant).
+Both take the float operations of the per-point arithmetic in the same
+order, so every index is the one a point-by-point loop would give;
+locate_root and locate_path are their one-point calls.
 """
 
 import math
@@ -219,59 +221,83 @@ def build_cover(model, support, eps0, rho=0.0, s=2):
                     maxs=maxs, sides=sides, counts=counts)
 
 
-def _tile_index(cover, x):
-    idx = []
-    for i in range(len(cover.counts)):
-        xi = float(x[i])
-        if not cover.mins[i] <= xi <= cover.maxs[i]:  # NaN fails too
-            raise OutOfSupport(f"coordinate {i} outside the covered support")
-        k = math.floor((xi - cover.mins[i]) / cover.sides[i])
-        # the support's top edge folds into its boundary tile
-        k = min(k, cover.counts[i] - 1)
-        idx.append(k)
-    return idx
+def root_indices(cover, points):
+    """Flat index of the root holding each row of an (n, d) float array:
+    per-axis tile indices in mixed radix, axis 0 least significant.
 
-
-def locate_root(cover, x):
-    idx = _tile_index(cover, x)
-    flat = 0
-    for i in reversed(range(len(idx))):
-        flat = flat * cover.counts[i] + idx[i]
+    A point on an interior tile plane belongs to the upper tile, and the
+    support's top edge folds into its boundary tile. A point outside the
+    support or not finite raises OutOfSupport for its first such
+    coordinate; the error's row is the index of the first such point.
+    """
+    d = len(cover.counts)
+    x = points[:, :d]
+    inside = (np.asarray(cover.mins) <= x) & (x <= np.asarray(cover.maxs))
+    if not inside.all():
+        row = int(np.argmin(inside.all(axis=1)))
+        err = OutOfSupport(f"coordinate {int(np.argmin(inside[row]))} "
+                           "outside the covered support")
+        err.row = row
+        raise err
+    tiles = np.floor((x - np.asarray(cover.mins)) / np.asarray(cover.sides))
+    tiles = np.minimum(tiles.astype(np.int64), np.asarray(cover.counts) - 1)
+    flat = np.zeros(len(x), dtype=np.int64)
+    for i in reversed(range(d)):
+        flat = flat * cover.counts[i] + tiles[:, i]
     return flat
 
 
-def path_in_root(cover, root_idx, x, depth):
-    """Per-level child indices of the cell chain holding x below root
-    root_idx, which must be the root that holds x.
+def descend(cover, roots, points, depth):
+    """Per-level child indices, an (n, depth) int64 array, of the cell chain
+    below root roots[k] that holds point points[k]; roots[k] must be the
+    root that holds it.
 
     Child indices are mixed radix over the per-axis sub-interval indices,
-    axis 0 least significant.
+    axis 0 least significant. Each point's offset is taken in its root's
+    frame, whose cos and sin come from math once per root, and every level
+    scales the position inside the cell by the split count per axis.
     """
     radices = tuple(cover.s ** w for w in _BOX_TABLE[cover.model_id][0])
-    root = cover.roots[root_idx]
-    u = root.to_adapted(x)
+    d = len(cover.counts)
+    held, inverse = np.unique(roots, return_inverse=True)
+    cells = [cover.roots[r] for r in held.tolist()]
+    anchor = np.array([c.anchor[:d] for c in cells], dtype=float)
+    half = np.array([c.half for c in cells], dtype=float)[inverse]
+    u = points[:, :d] - anchor.reshape(-1, d)[inverse]
+    if d == 2:
+        cos = np.array([math.cos(c.heading) for c in cells])[inverse]
+        sin = np.array([math.sin(c.heading) for c in cells])[inverse]
+        dx, dy = u[:, 0], u[:, 1]
+        u = np.stack([dx * cos + dy * sin, -dx * sin + dy * cos], axis=1)
     # normalized position in [0, 1) per axis inside the root box
-    taus = [min(max((ui + h) / (2.0 * h), 0.0), 1.0 - 1e-15)
-            for ui, h in zip(u, root.half)]
-    path = []
-    for _ in range(int(depth)):
-        index = 0
+    taus = np.minimum(np.maximum((u + half) / (2.0 * half), 0.0),
+                      1.0 - 1e-15)
+    digits = np.zeros((len(u), depth), dtype=np.int64)
+    for level in range(depth):
         scale = 1
-        new_taus = []
-        for tau, r in zip(taus, radices):
-            t = min(int(tau * r), r - 1)
-            index += t * scale
+        for axis, r in enumerate(radices):
+            scaled = taus[:, axis] * r
+            t = np.minimum(scaled.astype(np.int64), r - 1)
+            digits[:, level] += t * scale
             scale *= r
-            new_taus.append(tau * r - t)
-        path.append(index)
-        taus = new_taus
-    return tuple(path)
+            taus[:, axis] = scaled - t
+    return digits
+
+
+def _one_point(cover, x):
+    return np.array([[float(x[i]) for i in range(len(cover.counts))]])
+
+
+def locate_root(cover, x):
+    """Flat index of the root that holds x."""
+    return int(root_indices(cover, _one_point(cover, x))[0])
 
 
 def locate_path(cover, x, depth):
     """(root_index, per-level child indices) for the cell chain holding x."""
-    root_idx = locate_root(cover, x)
-    return root_idx, path_in_root(cover, root_idx, x, depth)
+    pts = _one_point(cover, x)
+    roots = root_indices(cover, pts)
+    return int(roots[0]), tuple(descend(cover, roots, pts, depth)[0].tolist())
 
 
 def measure_alpha(cell, model, g_hat, n_samples, rng, tol=1e-9):

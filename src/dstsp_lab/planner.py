@@ -1,7 +1,7 @@
 """End-to-end collection tours: cover the support, plan per cell, link cells.
 
 solve_dstsp locates every target in a cover root, runs the tree collection
-solver inside each occupied root (target addresses come from hcs.path_in_root),
+solver inside each occupied root (target addresses come from hcs.descend),
 realizes the abstract plan as steering between cell anchors plus out-and-back
 visits, and stitches the per-root tours along a nearest-neighbor-plus-2-opt
 path through the occupied anchors. The tour is an open path: it starts at the
@@ -10,8 +10,10 @@ small-instance search (one subset dynamic program, shared with cbo) and a
 linear whole-support bound give the two ends every run can be checked against.
 """
 
+import bisect
 import itertools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,20 +210,61 @@ def _nearest_neighbour_order(pts, norm, per_length, cost=None, lower=None):
     return order
 
 
-def _two_opt(order, leg, exact=None, lower=None):
+def _screen(pts, order, edge, per_length, shrink):
+    """Rows i of the open path that may hold an improving reversal: some
+    j in the window with bound(a, c) + bound(b, d) < edge[i] + edge[j],
+    where bound(p, q) = (|p - q| - shrink) * per_length.
+
+    One window offset at a time, so the temporaries stay O(m). The
+    distances round as _norm_function's: squares summed in axis order,
+    then one square root.
+    """
+    m = len(order)
+    path = pts[order]
+    edge = np.asarray(edge)
+    rows = np.zeros(m - 1, dtype=bool)
+    for w in range(2, min(10, m - 1)):
+        k = m - 1 - w    # rows i with j = i + w <= m - 2
+        total = np.zeros(k)
+        for p, q in ((path[:k], path[w:w + k]),
+                     (path[1:k + 1], path[w + 1:w + 1 + k])):
+            diff = p - q
+            sq = diff[:, 0] * diff[:, 0]
+            for axis in range(1, diff.shape[1]):
+                sq += diff[:, axis] * diff[:, axis]
+            total += (np.sqrt(sq) - shrink) * per_length
+        rows[:k] |= total < edge[:k] + edge[w:w + k]
+    return rows
+
+
+def _two_opt(order, leg, pts, per_length, shrink=0.0, exact=None,
+             lower=None):
     """Windowed 2-opt on the open path, in place: up to four passes over
     the reversals of order[i+1 .. j], j < i + 10, first improvement taken.
+    Returns the number of reversals made.
 
     exact(i, j), where given, decides the comparisons that leg's rounding
     leaves too close to call. lower(i, j), where given, never exceeds
     leg(i, j): a reversal whose new edges cost no less than the old ones
     by their bounds alone is passed over without calling leg.
+
+    (|pts[i] - pts[j]| - shrink) * per_length never exceeds lower(i, j),
+    or leg(i, j) less its near-tie margin where lower is not given. Each
+    pass starts with a numpy screen by that bound (_screen), and the loop
+    scans only the rows it marks, plus every row up to the largest j of
+    the pass's reversals so far: rows past it are as the screen saw them.
+    So the loop makes the moves of a scan of every row, in the same order.
     """
     m = len(order)
     edge = [leg(order[k], order[k + 1]) for k in range(m - 1)]
+    moves = 0
     for _ in range(4):
+        marked = np.flatnonzero(_screen(pts, order, edge, per_length,
+                                        shrink)).tolist()
         improved = False
-        for i in range(m - 1):
+        changed = -1    # rows up to here may differ from the screen's view
+        i = marked[0] if marked else m - 1
+        while i < m - 1:
             a = order[i]
             for j in range(i + 2, min(i + 10, m - 1)):
                 # the reversal swaps edges (i, i+1), (j, j+1) for (i, j),
@@ -243,17 +286,25 @@ def _two_opt(order, leg, exact=None, lower=None):
                     edge[i + 1:j] = reversed(edge[i + 1:j])
                     edge[i], edge[j] = ac, bd
                     improved = True
+                    moves += 1
+                    changed = max(changed, j)
+            i += 1
+            if i > changed:
+                k = bisect.bisect_left(marked, i)
+                i = marked[k] if k < len(marked) else m - 1
         if not improved:
             break
+    return moves
 
 
-def roots_tour(model, anchors):
+def roots_tour(model, anchors, counters=None):
     """(ordered anchors, realized path time): nearest neighbor then 2-opt.
 
     The realized time upper-bounds the optimal open tour through the anchors,
     which is all the cover-level term of the time bound needs. Models with a
     closed-form distance order by Euclidean norm and report legs as numpy's
-    vector norm / speed; the others use steer times.
+    vector norm / speed; the others use steer times. counters, where given,
+    is a dict that gets the number of 2-opt moves as "two_opt_moves".
     """
     m = len(anchors)
     if m == 0:
@@ -262,10 +313,9 @@ def roots_tour(model, anchors):
         return [anchors[0]], 0.0
     pts = [tuple(float(v) for v in a[:model.workspace_dim]) for a in anchors]
     norm = _norm_function(pts)
+    arr = np.asarray(pts)
     speed = dyn.closed_form_speed(model)
     if speed is not None:
-        arr = np.asarray(pts)
-
         def leg(i, j):
             return norm(i, j) / speed
 
@@ -276,7 +326,8 @@ def roots_tour(model, anchors):
             return float(np.linalg.norm(arr[i] - arr[j])) / speed
 
         order = _nearest_neighbour_order(pts, norm, 1.0)
-        _two_opt(order, leg, exact)
+        moves = _two_opt(order, leg, arr, (1.0 - _BOUND_SLACK) / speed,
+                         exact=exact)
     else:
         cache = {}
 
@@ -292,13 +343,20 @@ def roots_tour(model, anchors):
         per_length = 1.0 / model.speed_limit()
         if model.model_id == "reeds_shepp":
             lower = _curvature_bound(model, anchors)
+            # the distance term of _curvature_bound, rounded as it rounds
+            screen = ((1.0 - _BOUND_SLACK) / model.c_pi,
+                      2.0 * rs._EPS * model.r_min)
         else:
+            screen = (per_length * (1.0 - _BOUND_SLACK), 0.0)
+
             def lower(i, j):
-                return norm(i, j) * per_length * (1.0 - _BOUND_SLACK)
+                return norm(i, j) * screen[0]
         order = _nearest_neighbour_order(pts, norm, per_length, leg, lower)
-        _two_opt(order, leg, lower=lower)
-    time = sum(exact(order[k], order[k + 1]) for k in range(m - 1))
-    return [anchors[i] for i in order], float(time)
+        moves = _two_opt(order, leg, arr, *screen, lower=lower)
+    if counters is not None:
+        counters["two_opt_moves"] = moves
+    total = sum(exact(order[k], order[k + 1]) for k in range(m - 1))
+    return [anchors[i] for i in order], float(total)
 
 
 def _target_config(model, cell, point):
@@ -308,25 +366,26 @@ def _target_config(model, cell, point):
     return tuple(float(v) for v in point)
 
 
-def _realize_root(model, cover, root_idx, ids_points, depth):
+def _realize_root(model, cover, root_idx, groups, point, plans):
     """Plan and realize one root's collection tour.
+
+    groups maps each canonical path in the root to its target ids, and
+    point(tid) gives a target's coordinates. Roots with the same set of
+    paths share one plan: plans caches them by the sorted path tuple.
 
     Returns (segments, visits, duration); the piece starts and ends at the
     root anchor, visit times are relative to the piece start.
     """
-    root_anchor = cover.roots[root_idx].anchor
-    groups = {}   # canonical path -> list of original target ids
-    for tid, point in ids_points:
-        path = hcs.path_in_root(cover, root_idx, point, depth)
-        groups.setdefault(hcp.canonical_path(path), []).append(tid)
-    paths = sorted(groups)
-    params = hcp.HcpParams(branch_factor=cover.s ** cover.gamma,
-                           scale=cover.s)
-    plan = hcp.construct_optimal_plan(hcp.HcpInstance(params, tuple(paths)))
+    paths = tuple(sorted(groups))
+    plan = plans.get(paths)
+    if plan is None:
+        params = hcp.HcpParams(branch_factor=cover.s ** cover.gamma,
+                               scale=cover.s)
+        plan = plans[paths] = hcp.construct_optimal_plan(
+            hcp.HcpInstance(params, paths))
 
-    by_id = dict(ids_points)
     # cells are built as the plan enters them
-    stack = [hcs.make_cell(model, root_anchor, cover.eps0)]
+    stack = [hcs.make_cell(model, cover.roots[root_idx].anchor, cover.eps0)]
     segments = []
     visits = []
     t = 0.0
@@ -347,7 +406,7 @@ def _realize_root(model, cover, root_idx, ids_points, depth):
             stack.pop()
         else:
             for tid in groups[paths[action[1]]]:
-                cfg = _target_config(model, stack[-1], by_id[tid])
+                cfg = _target_config(model, stack[-1], point(tid))
                 out = dyn.steer(model, stack[-1].anchor, cfg)
                 # out and back the same way: fsum rounds correctly, so the
                 # way back takes out's duration again
@@ -362,31 +421,44 @@ def _realize_root(model, cover, root_idx, ids_points, depth):
     return segments, visits, t
 
 
+# the stages of solve_dstsp that with_info times
+_STAGES = ("locate", "roots_tour", "realize")
+
+
 def solve_dstsp(model, cover, targets, with_info=False):
     """Tour visiting every target, assembled from per-root collection plans.
 
     The tour is an open path through the occupied roots in root_order: its
     trajectory starts at the anchor of the first root and ends at the anchor
     of the last, and total_time has no leg back to the start.
+
+    Targets are located and addressed in one numpy pass (hcs.root_indices
+    and hcs.descend). with_info adds an info dict, which also holds the
+    perf_counter seconds of the three stages ("timings": locate, roots_tour,
+    realize) and "counters": occupied roots, plans built (one per distinct
+    set of paths in a root) and 2-opt moves.
     """
     if not model.symmetric:
         raise NotSymmetric("tour realization reverses steers")
-    targets = [tuple(float(v) for v in p) for p in targets]
-    if not targets:
+    pts = np.asarray(targets, dtype=float)
+    if len(pts) == 0:
         start = cover.roots[0].anchor
         tour = Tour(dyn.Trajectory(model, start, ()), (), 0.0)
         if with_info:
-            return tour, {"c_eps0": 0.0, "roots": {}, "depths": {}}
+            return tour, {"c_eps0": 0.0, "roots": {}, "depths": {},
+                          "timings": dict.fromkeys(_STAGES, 0.0),
+                          "counters": {"occupied_roots": 0, "plans_built": 0,
+                                       "two_opt_moves": 0}}
         return tour
+    if with_info:
+        clock = [time.perf_counter()]
 
-    by_root = {}
-    for tid, p in enumerate(targets):
-        try:
-            ri = hcs.locate_root(cover, p)
-        except OutOfSupport as err:
-            raise TargetOutsideCover(f"target {tid}: {err}") from err
-        by_root.setdefault(ri, []).append((tid, p))
-
+    try:
+        roots = hcs.root_indices(cover, pts)
+    except OutOfSupport as err:
+        raise TargetOutsideCover(f"target {err.row}: {err}") from err
+    occupied, inverse, counts = np.unique(roots, return_inverse=True,
+                                          return_counts=True)
     b_bar = cover.s ** cover.gamma
 
     def ceil_log(nj):
@@ -397,40 +469,72 @@ def solve_dstsp(model, cover, targets, with_info=False):
         return k
 
     # per-root tree depth: one level past the count's logarithm
-    depths = {ri: ceil_log(len(pts)) + 1 if len(pts) > 1 else 1
-              for ri, pts in by_root.items()}
+    counts = counts.tolist()
+    depths = [ceil_log(nj) + 1 if nj > 1 else 1 for nj in counts]
+    digits = hcs.descend(cover, roots, pts, max(depths))
+    # canonical paths: the digits down to each target's root depth,
+    # trailing zeros stripped
+    levels = np.arange(1, digits.shape[1] + 1)
+    kept = (digits != 0) & (levels <= np.array(depths)[inverse, None])
+    lengths = (levels * kept).max(axis=1).tolist()
+    # flat Python lists: no object per target
+    depth = digits.shape[1]
+    digits = digits.ravel().tolist()
+    ids = np.argsort(inverse, kind="stable").tolist()
+    ends = np.cumsum(counts).tolist()
+    occupied = occupied.tolist()
+    if with_info:
+        clock.append(time.perf_counter())
 
-    occupied = sorted(by_root)
     anchors = [cover.roots[ri].anchor for ri in occupied]
-    ordered, c_eps0 = roots_tour(model, anchors)
-    anchor_to_root = {cover.roots[ri].anchor: ri for ri in occupied}
-    root_order = [anchor_to_root[a] for a in ordered]
+    counters = {"two_opt_moves": 0} if with_info else None
+    ordered, c_eps0 = roots_tour(model, anchors, counters)
+    slot_of = {a: k for k, a in enumerate(anchors)}
+    slots = [slot_of[a] for a in ordered]
+    if with_info:
+        clock.append(time.perf_counter())
 
+    width = pts.shape[1]
+    coords = pts.ravel().tolist()
+
+    def point(tid):
+        return coords[tid * width:(tid + 1) * width]
+
+    plans = {}
     segments = []
     visited = []
     t = 0.0
     prev_anchor = None
-    for ri in root_order:
-        anchor = cover.roots[ri].anchor
+    for k in slots:
+        anchor = anchors[k]
         if prev_anchor is not None:
             leg = dyn.steer(model, prev_anchor, anchor)
             segments.extend(leg.segments)
             t += leg.duration
-        seg, visits, dur = _realize_root(model, cover, ri, by_root[ri],
-                                         depths[ri])
+        groups = {}
+        for tid in ids[ends[k] - counts[k]:ends[k]]:
+            at = tid * depth
+            groups.setdefault(tuple(digits[at:at + lengths[tid]]),
+                              []).append(tid)
+        seg, visits, dur = _realize_root(model, cover, occupied[k], groups,
+                                         point, plans)
         segments.extend(seg)
         visited.extend((tid, t + vt) for tid, vt in visits)
         t += dur
         prev_anchor = anchor
 
-    start = cover.roots[root_order[0]].anchor
-    tour = Tour(dyn.Trajectory(model, start, tuple(segments)),
+    tour = Tour(dyn.Trajectory(model, anchors[slots[0]], tuple(segments)),
                 tuple(visited), float(t))
     if with_info:
+        clock.append(time.perf_counter())
+        counters.update(occupied_roots=len(occupied), plans_built=len(plans))
         info = {"c_eps0": c_eps0,
-                "roots": {ri: len(by_root[ri]) for ri in occupied},
-                "depths": depths,
-                "root_order": root_order}
+                "roots": dict(zip(occupied, counts)),
+                "depths": dict(zip(occupied, depths)),
+                "root_order": [occupied[k] for k in slots],
+                "timings": {name: b - a for name, a, b
+                            in zip(_STAGES, clock, clock[1:])},
+                "counters": counters}
         return tour, info
     return tour
 

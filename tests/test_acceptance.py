@@ -158,7 +158,7 @@ def test_c03_hcp_constructive_bound():
             e //= b
         inst = hcp.HcpInstance(
             hcp.HcpParams(b, s),
-            tuple(tuple(int(c) for c in row) for row in dec))
+            tuple(map(tuple, dec.tolist())))
         cost = hcp.optimal_cost_fast(inst)
         bound = 6.0 * s * inst.n ** (1.0 - 1.0 / gamma)
         assert cost <= bound, (cost, bound, inst.n, b, s)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dstsp_lab import bounds as bnd
 from dstsp_lab import dynamics as dyn
@@ -335,3 +337,146 @@ def test_cover_json_without_roots_is_config_error():
         del roots[1][key]
         with pytest.raises(ConfigError, match="root 1"):
             hcs.cover_from_json(dict(obj, roots=roots))
+
+
+# ------------------------------------------- one-pass location vs frozen loops
+#
+# reference_tile_index, reference_locate_root and reference_path_in_root are
+# the per-point loops that hcs.root_indices and hcs.descend replaced. The
+# array versions must agree with them exactly: a digit that differs moves a
+# target to another cell and changes the tour.
+
+def reference_tile_index(cover, x):
+    idx = []
+    for i in range(len(cover.counts)):
+        xi = float(x[i])
+        if not cover.mins[i] <= xi <= cover.maxs[i]:  # NaN fails too
+            raise OutOfSupport(f"coordinate {i} outside the covered support")
+        k = math.floor((xi - cover.mins[i]) / cover.sides[i])
+        # the support's top edge folds into its boundary tile
+        k = min(k, cover.counts[i] - 1)
+        idx.append(k)
+    return idx
+
+
+def reference_locate_root(cover, x):
+    idx = reference_tile_index(cover, x)
+    flat = 0
+    for i in reversed(range(len(idx))):
+        flat = flat * cover.counts[i] + idx[i]
+    return flat
+
+
+def reference_path_in_root(cover, root_idx, x, depth):
+    radices = tuple(cover.s ** w for w in hcs._BOX_TABLE[cover.model_id][0])
+    root = cover.roots[root_idx]
+    u = root.to_adapted(x)
+    # normalized position in [0, 1) per axis inside the root box
+    taus = [min(max((ui + h) / (2.0 * h), 0.0), 1.0 - 1e-15)
+            for ui, h in zip(u, root.half)]
+    path = []
+    for _ in range(int(depth)):
+        index = 0
+        scale = 1
+        new_taus = []
+        for tau, r in zip(taus, radices):
+            t = min(int(tau * r), r - 1)
+            index += t * scale
+            scale *= r
+            new_taus.append(tau * r - t)
+        path.append(index)
+        taus = new_taus
+    return tuple(path)
+
+
+def _assert_located_as_reference(cover, points, depth):
+    pts = np.asarray(points, dtype=float)
+    roots = hcs.root_indices(cover, pts)
+    digits = hcs.descend(cover, roots, pts, depth)
+    assert digits.shape == (len(pts), depth)
+    for k, x in enumerate(points):
+        ri = reference_locate_root(cover, x)
+        path = reference_path_in_root(cover, ri, x, depth)
+        assert int(roots[k]) == ri
+        assert tuple(digits[k].tolist()) == path
+        assert hcs.locate_root(cover, x) == ri
+        assert hcs.locate_path(cover, x, depth) == (ri, path)
+
+
+_CAR_COVER = hcs.build_cover(RS, ((0.0, 0.0), (1.0, 1.0)), 0.3)
+
+
+def _turned_car_cover():
+    """The car cover read back from JSON with every root heading turned:
+    the descent then runs in rotated frames, and points may fall outside
+    their root's turned box (their positions clip to its edge)."""
+    obj = hcs.cover_to_json(_CAR_COVER)
+    for k, root in enumerate(obj["roots"]):
+        root["anchor"][2] = 0.3 + 0.7 * k
+    return hcs.cover_from_json(obj)
+
+
+LOCATE_COVERS = {
+    "euclidean2": hcs.build_cover(E2, ((0.0, 0.0), (1.0, 1.0)), 0.1),
+    "euclidean2_shifted": hcs.build_cover(E2, ((-0.3, 0.2), (0.71, 1.9)),
+                                          0.13),
+    "euclidean3": hcs.build_cover(E3, ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+                                  0.3),
+    "scaled": hcs.build_cover(SC, ((0.0, 0.0), (1.0, 1.0)), 0.07),
+    "reeds_shepp": _CAR_COVER,
+    "reeds_shepp_turned": _turned_car_cover(),
+}
+
+
+@st.composite
+def located_points(draw):
+    """A cover and points anywhere in its support, on its tile planes, on
+    or one ulp beside its cell planes below the roots, and on its top
+    edges."""
+    name = draw(st.sampled_from(sorted(LOCATE_COVERS)))
+    cover = LOCATE_COVERS[name]
+    d = len(cover.counts)
+    coords = []
+    for i in range(d):
+        lo, hi, side = cover.mins[i], cover.maxs[i], cover.sides[i]
+        anywhere = st.floats(lo, hi)
+        tile_plane = st.integers(0, cover.counts[i]).map(
+            lambda k, lo=lo, side=side, hi=hi: min(lo + k * side, hi))
+        cell_plane = st.integers(0, 8 * cover.counts[i]).map(
+            lambda k, lo=lo, side=side, hi=hi: min(lo + k * side / 8, hi))
+        near_plane = st.tuples(cell_plane, st.sampled_from([-1, 1])).map(
+            lambda v, lo=lo, hi=hi: min(max(math.nextafter(
+                v[0], v[1] * math.inf), lo), hi))
+        edge = st.sampled_from([lo, hi, math.nextafter(hi, lo)])
+        coords.append(st.one_of(anywhere, tile_plane, cell_plane,
+                                near_plane, edge))
+    points = draw(st.lists(st.tuples(*coords), min_size=1, max_size=30))
+    return cover, points, draw(st.integers(0, 5))
+
+
+@settings(max_examples=300)
+@given(located_points())
+def test_one_pass_location_matches_the_frozen_loops(case):
+    _assert_located_as_reference(*case)
+
+
+@pytest.mark.parametrize("name", sorted(LOCATE_COVERS))
+def test_one_pass_location_matches_the_frozen_loops_on_samples(name):
+    cover = LOCATE_COVERS[name]
+    rng = unit_rng(23)
+    pts = rng.uniform(cover.mins, cover.maxs,
+                      size=(2000, len(cover.counts)))
+    _assert_located_as_reference(cover, [tuple(p) for p in pts], 4)
+
+
+def test_one_pass_location_names_the_first_point_outside():
+    cover = LOCATE_COVERS["euclidean2"]
+    pts = np.full((50, 2), 0.5)
+    pts[7] = (0.5, 1.5)
+    pts[31] = (math.nan, math.nan)
+    with pytest.raises(OutOfSupport, match="^coordinate 1 outside") as err:
+        hcs.root_indices(cover, pts)
+    assert err.value.row == 7
+    with pytest.raises(OutOfSupport) as err:
+        hcs.root_indices(cover, pts[8:])
+    assert err.value.row == 23 and str(err.value).startswith("coordinate 0")

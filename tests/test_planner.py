@@ -11,7 +11,8 @@ import pytest
 from dstsp_lab import dynamics as dyn
 from dstsp_lab import hcs
 from dstsp_lab import planner
-from dstsp_lab.errors import NotSymmetric, TargetOutsideCover, TooLarge
+from dstsp_lab.errors import (NotSymmetric, OutOfSupport, TargetOutsideCover,
+                              TooLarge)
 from dstsp_lab.seeding import make_rng
 
 E2 = dyn.make_model({"model": "euclidean2"})
@@ -64,6 +65,48 @@ def test_target_outside_cover():
     for bad in [(1.5, 0.5), (math.nan, 0.5), (0.5, math.inf)]:
         with pytest.raises(TargetOutsideCover):
             planner.solve_dstsp(E2, cov, [(0.5, 0.5), bad])
+
+
+_MANY = uniform_targets(20_000, 9)
+
+
+@pytest.mark.parametrize("where", [0, 10_000, 19_999])
+@pytest.mark.parametrize("bad, axis", [
+    ((math.nan, 0.5), 0), ((0.5, math.nan), 1), ((math.inf, 0.5), 0),
+    ((0.5, -math.inf), 1), ((1.0 + 1e-12, 0.5), 0), ((0.5, -0.01), 1),
+    ((2.0, 2.0), 0)])
+def test_target_outside_cover_names_the_lowest_bad_target(where, bad, axis):
+    # located in one numpy pass, the first bad target of 20 000 is still
+    # the one named, by its first bad coordinate
+    cov = hcs.build_cover(E2, SQ, 0.01)
+    pts = list(_MANY)
+    pts[where] = bad
+    if where + 1 < len(pts):
+        pts[-1] = (0.5, 7.0)    # a later bad target is not the one named
+    message = f"target {where}: coordinate {axis} outside the covered support"
+    with pytest.raises(TargetOutsideCover) as err:
+        planner.solve_dstsp(E2, cov, pts)
+    assert str(err.value) == message
+    assert isinstance(err.value.__cause__, OutOfSupport)
+
+
+def test_with_info_gives_the_same_tour_and_times_its_stages():
+    pts = uniform_targets(2048, 6)
+    cov = hcs.build_cover(E2, SQ, planner.default_eps0(2048, 2))
+    plain = planner.solve_dstsp(E2, cov, pts)
+    tour, info = planner.solve_dstsp(E2, cov, pts, with_info=True)
+    assert tour == plain
+    assert set(info["timings"]) == {"locate", "roots_tour", "realize"}
+    assert all(s >= 0.0 for s in info["timings"].values())
+    counters = info["counters"]
+    assert counters["occupied_roots"] == len(info["roots"]) \
+        == len(info["root_order"])
+    # roots with the same set of paths share one plan
+    assert 0 < counters["plans_built"] < counters["occupied_roots"]
+    assert counters["two_opt_moves"] > 0
+    _, one = planner.solve_dstsp(E2, cov, pts[:1], with_info=True)
+    assert one["counters"] == {"occupied_roots": 1, "plans_built": 1,
+                               "two_opt_moves": 0}
 
 
 def test_asymmetric_model_rejected():

@@ -4,11 +4,13 @@ reference_roots_tour and reference_build_hcs are the straightforward
 implementations that planner.roots_tour and hcs.child_cell replaced: a full
 nearest-neighbour scan with numpy norms (closed-form models) or one steer per
 remaining anchor (others), a 2-opt on numpy norms, and an eagerly built cell
-tree. The fast versions must agree with them exactly, not approximately:
-tours are reported bit for bit.
+tree. reference_two_opt is planner._two_opt before its numpy screen: the
+same checks on every row of every pass. The fast versions must agree with
+them exactly, not approximately: tours are reported bit for bit.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -107,6 +109,40 @@ def reference_roots_tour(model, anchors):
             break
     time = sum(dist(order[k], order[k + 1]) for k in range(m - 1))
     return [anchors[i] for i in order], float(time)
+
+
+def reference_two_opt(order, leg, exact=None, lower=None):
+    """planner._two_opt as it was before the numpy screen; returns the
+    edges it keeps up to date."""
+    m = len(order)
+    edge = [leg(order[k], order[k + 1]) for k in range(m - 1)]
+    for _ in range(4):
+        improved = False
+        for i in range(m - 1):
+            a = order[i]
+            for j in range(i + 2, min(i + 10, m - 1)):
+                # the reversal swaps edges (i, i+1), (j, j+1) for (i, j),
+                # (i+1, j+1)
+                b, c, d = order[i + 1], order[j], order[j + 1]
+                before = edge[i] + edge[j]
+                if lower is not None and lower(a, c) + lower(b, d) >= before:
+                    continue
+                ac = leg(a, c)
+                bd = leg(b, d)
+                after = ac + bd
+                better = after < before - 1e-15
+                if exact is not None and abs(after - before + 1e-15) \
+                        <= 1e-14 * (before + after):
+                    better = exact(a, c) + exact(b, d) < \
+                        exact(a, b) + exact(c, d) - 1e-15
+                if better:
+                    order[i + 1:j + 1] = reversed(order[i + 1:j + 1])
+                    edge[i + 1:j] = reversed(edge[i + 1:j])
+                    edge[i], edge[j] = ac, bd
+                    improved = True
+        if not improved:
+            break
+    return edge
 
 
 def reference_build_hcs(model, anchor, eps, depth, s, level=0):
@@ -295,3 +331,99 @@ def test_child_cell_matches_reference_tree_at_depth_three(name):
             walk(child, got.children[i], hcs.child_cell(model, lazy, i, 2))
 
     walk(ref, built, hcs.make_cell(model, anchor, 0.3))
+
+
+# --------------------------------------------- screened 2-opt vs its oracle
+
+def _two_opt_moves(model, anchors, shuffle=None):
+    """Run roots_tour with its 2-opt checked against reference_two_opt on
+    the same start order and the same leg, exact and lower functions: the
+    orders and the edges must be equal. shuffle, a seed, first permutes the
+    nearest-neighbour order past its first anchor, which leaves the 2-opt
+    many reversals to make. Returns the moves the 2-opt reported."""
+    fast = planner._two_opt
+    moves = []
+
+    def checked(order, leg, *screen, exact=None, lower=None):
+        if shuffle is not None:
+            rest = order[1:]
+            np.random.default_rng(shuffle).shuffle(rest)
+            order[1:] = rest
+        want = list(order)
+        want_edges = reference_two_opt(want, leg, exact, lower)
+        moves.append(fast(order, leg, *screen, exact=exact, lower=lower))
+        assert order == want
+        assert [leg(order[k], order[k + 1])
+                for k in range(len(order) - 1)] == want_edges
+        return moves[-1]
+
+    with mock.patch.object(planner, "_two_opt", checked):
+        planner.roots_tour(model, anchors)
+    return sum(moves)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_screened_two_opt_matches_reference_on_cover_lattices(name):
+    model = MODELS[name]
+    moved = 0
+    for k, (eps0, share) in enumerate(_LATTICES[name]):
+        anchors = _lattice_anchors(model, eps0, share, seed=k)
+        moved += _two_opt_moves(model, anchors)
+        moved += _two_opt_moves(model, anchors, shuffle=k)
+    assert moved > 0
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(sorted(MODELS)), st.integers(2, 12),
+       st.integers(0, 2 ** 16), st.booleans())
+def test_screened_two_opt_matches_reference_on_short_paths(name, m, seed,
+                                                           shuffled):
+    # m <= 12: windows cut short by the end of the path
+    _two_opt_moves(MODELS[name], _random_anchors(MODELS[name], m, seed),
+                   shuffle=seed if shuffled else None)
+
+
+@settings(max_examples=40)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                min_size=2, max_size=40, unique=True),
+       st.sampled_from([0.05, 1.0 / 3.0, 5.3, 7.9, 11.3]),
+       st.integers(0, 2 ** 16))
+def test_screened_two_opt_matches_reference_on_coarse_lattice_ties(cells, h,
+                                                                   seed):
+    # equal alternatives everywhere: the near-tie exact check decides
+    for name in ("euclidean2", "scaled_constant"):
+        anchors = [(i * h, j * h) for i, j in cells]
+        _two_opt_moves(MODELS[name], anchors, shuffle=seed)
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(MODELS)
+                                  if n.startswith("reeds_shepp")])
+@pytest.mark.parametrize("step", [1e-9, 2e-9, 4e-9, 1e-8, 1e-7])
+def test_screened_two_opt_matches_reference_on_car_anchors_a_tolerance_apart(
+        name, step):
+    # steers this short land within reeds_shepp's tolerance of their goal,
+    # which decides their times, and the screen's distances go negative:
+    # anchors spaced a few steps along their common heading, or anywhere
+    # near one configuration
+    th = 1.1
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        m = 12 - seed % 4
+        if seed % 3 < 2:
+            run = np.cumsum(rng.uniform(0.0, step, m)) if seed % 3 \
+                else rng.uniform(0.0, 2.0 * step, m)
+            anchors = [(0.4 + r * math.cos(th), 0.6 + r * math.sin(th), th)
+                       for r in run]
+        else:
+            anchors = [(0.4 + float(dx), 0.6 + float(dy), th + float(dth))
+                       for dx, dy, dth in rng.uniform(-step, step, (m, 3))]
+        _two_opt_moves(MODELS[name], anchors, shuffle=seed)
+
+
+def test_screened_two_opt_reports_its_moves():
+    model = MODELS["euclidean2"]
+    anchors = _random_anchors(model, 300, 4)
+    assert _two_opt_moves(model, anchors, shuffle=1) > 100
+    counters = {}
+    planner.roots_tour(model, anchors, counters)
+    assert counters["two_opt_moves"] == _two_opt_moves(model, anchors)
