@@ -9,6 +9,7 @@ manifest as an execution field but starts no workers.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -199,6 +200,46 @@ def _fmt_cell(v):
     return str(v)
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A text handle (UTF-8, no newline translation) whose contents replace
+    the file at path.
+
+    They go to a sibling temporary file, which is renamed onto path once
+    written, after an existing regular file there is unlinked. Replacing a
+    file's contents in place, by truncation or by a rename over it, costs
+    about 40 ms per file on ext4, which flushes the new contents before it
+    lets the old ones go; unlinking first skips that flush, and with it the
+    guarantee that a crash leaves the old file or the new one whole. The new
+    file takes the default mode and owner, and hard links to the old file
+    keep the old contents. A path that is a symlink or not a regular file,
+    such as /dev/stdout, is written in place, through the link, and so is a
+    path whose temporary file cannot be created (a directory the user may
+    not write to, or a file of that name already there). If writing raises,
+    the temporary file is removed and path is left as it was.
+    """
+    fh = None
+    tmp = f"{path}.{os.getpid()}.tmp"
+    if os.path.isfile(path) and not os.path.islink(path) \
+            or not os.path.lexists(path):
+        with contextlib.suppress(OSError):
+            fh = open(tmp, "x", encoding="utf-8", newline="")
+    if fh is None:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    try:
+        with fh:
+            yield fh
+        if os.path.lexists(path):
+            os.unlink(path)
+        os.rename(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def emit_report(records, path, format="csv", header=None):
     """Stream homogeneous records to CSV (LF, '.'-decimal) or a JSON array.
 
@@ -218,22 +259,21 @@ def emit_report(records, path, format="csv", header=None):
             yield first
         yield from it
 
-    if format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    if format not in ("csv", "json"):
+        raise ValueError(f"unknown format {format!r}")
+    with _replacing(path) as fh:
+        if format == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             for rec in rows():
                 writer.writerow([_fmt_cell(rec[k]) for k in header])
-    elif format == "json":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        else:
             fh.write("[")
             for i, rec in enumerate(rows()):
                 fh.write(",\n " if i else "\n ")
                 fh.write(json.dumps({k: rec[k] for k in header},
                                     default=_json_default))
             fh.write("\n]\n" if first is not None else "]\n")
-    else:
-        raise ValueError(f"unknown format {format!r}")
 
 
 def _json_default(v):
@@ -287,11 +327,15 @@ def write_manifest(cfg, out_paths, input_paths=()):
     for p in out_paths:
         manifest["outputs"][p] = _sha256_file(p)
     path = _manifest_path(cfg.out)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True,
-                  default=_json_default)
-        fh.write("\n")
+    _write_json(path, manifest, sort_keys=True, default=_json_default)
     return path
+
+
+def _write_json(path, obj, **kwargs):
+    """obj as indented JSON with a final newline, replacing path."""
+    with _replacing(path) as fh:
+        json.dump(obj, fh, indent=1, **kwargs)
+        fh.write("\n")
 
 
 # --- shared experiment plumbing -------------------------------------------
@@ -548,9 +592,7 @@ def _cmd_build_cover(cfg):
                      lambda v: (_floats(v[0]), _floats(v[1])))
     cover = hcs.build_cover(model, support, eps0, s=2)
     obj = hcs.cover_to_json(cover)
-    with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(cfg.out, obj, sort_keys=True)
 
     failures = []
     if cfg.assert_checks:
@@ -577,9 +619,7 @@ def _cmd_hcp_solve(cfg):
     cost = hcp.plan_cost(plan, instance)
     result = {"cost": cost, "plan": hcp.plan_to_json(plan),
               "n_targets": len(instance.targets)}
-    with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-        json.dump(result, fh, indent=1)
-        fh.write("\n")
+    _write_json(cfg.out, result)
 
     failures = []
     if cfg.assert_checks:
@@ -614,9 +654,7 @@ def _cmd_check_bounds(cfg):
         gamma=gamma, J=_extra(cfg, "j", 1.0, nonnegative),
         int_g_inv=_extra(cfg, "int_g_inv", 1.0, nonnegative))
     obj = dataclasses.asdict(report)
-    with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(cfg.out, obj, sort_keys=True)
 
     failures = []
     if cfg.assert_checks:

@@ -261,7 +261,7 @@ class Trajectory:
 
     @property
     def duration(self):
-        return math.fsum(d for _, d in self.segments)
+        return math.fsum([d for _, d in self.segments])
 
     def endpoint(self):
         q = self.start
@@ -297,12 +297,12 @@ def _steer_straight(model, q0, q1):
     # straight workspace line at the closed-form speed, or through the
     # gridded speed field with one segment per cell crossed
     speed = closed_form_speed(model)
-    p0 = tuple(float(v) for v in q0)
+    p0 = tuple(map(float, q0))
     delta = [float(b) - a for a, b in zip(p0, q1)]
     dist = math.hypot(*delta)
     if dist == 0.0:
         return Trajectory(model, p0, ())
-    u = tuple(d / dist for d in delta)
+    u = tuple([d / dist for d in delta])
     if speed is not None:
         return Trajectory(model, p0, ((u, dist / speed),))
     segments = []
@@ -424,20 +424,19 @@ def reaches_within(model, q0, point, limit):
     return steer_to_point(model, q0, point).duration <= limit
 
 
-def _reverse_control(model, control):
-    mid = model.model_id
-    if mid in ("euclidean2", "euclidean3", "scaled_euclidean2"):
-        return tuple(-float(c) for c in control)
-    if mid == "reeds_shepp":
-        return (-float(control[0]), float(control[1]))
-    if mid == "diff_drive":
-        return (-float(control[0]), -float(control[1]))
-    raise ConfigError(f"unknown model {mid!r}")
-
-
 def reversed_segments(model, segments):
-    """The segments that trace the same workspace curve backwards."""
-    return [(_reverse_control(model, c), d) for c, d in reversed(segments)]
+    """The segments that trace the same workspace curve backwards: in
+    reverse order, each control reversed (the euclidean models negate the
+    velocity, the car its gear, the unicycle both its rates)."""
+    mid = model.model_id
+    back = reversed(segments)
+    if mid in ("euclidean2", "euclidean3", "scaled_euclidean2"):
+        return [(tuple([-float(c) for c in u]), d) for u, d in back]
+    if mid == "reeds_shepp":
+        return [((-float(u[0]), float(u[1])), d) for u, d in back]
+    if mid == "diff_drive":
+        return [((-float(u[0]), -float(u[1])), d) for u, d in back]
+    raise ConfigError(f"unknown model {mid!r}")
 
 
 def reverse_trajectory(traj):

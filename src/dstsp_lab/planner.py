@@ -4,10 +4,13 @@ solve_dstsp locates every target in a cover root, runs the tree collection
 solver inside each occupied root (target addresses come from hcs.descend),
 realizes the abstract plan as steering between cell anchors plus out-and-back
 visits, and stitches the per-root tours along a nearest-neighbor-plus-2-opt
-path through the occupied anchors. The tour is an open path: it starts at the
-first root's anchor and ends at the last one's, with no closing leg. Exact
-small-instance search (one subset dynamic program, shared with cbo) and a
-linear whole-support bound give the two ends every run can be checked against.
+path through the occupied anchors. For closed-form models the nearest-
+neighbour walk reads numpy neighbour lists and falls back to a ring search
+of buckets only where a list runs out. The tour is an open path: it starts
+at the first root's anchor and ends at the last one's, with no closing leg.
+Exact small-instance search (one subset dynamic program, shared with cbo) and
+a linear whole-support bound give the two ends every run can be checked
+against.
 """
 
 import bisect
@@ -48,14 +51,14 @@ def _steer_time(model, a, b, speed=None):
 
 
 def _norm_function(pts):
-    """norm(i, j), the Euclidean distance between pts[i] and pts[j] (two or
-    three coordinates), rounded as numpy's row-wise norm rounds it: squares
-    summed in axis order, then one square root.
+    """norm(i, j), the Euclidean distance between rows i and j of the float
+    array pts (two or three columns), rounded as numpy's row-wise norm
+    rounds it: squares summed in axis order, then one square root.
 
     math.dist and math.hypot round differently; so does numpy's norm of a
     single vector, which takes a BLAS dot with fused multiply-adds.
     """
-    cols = [list(c) for c in zip(*pts)]
+    cols = pts.T.tolist()
     if len(cols) == 2:
         xs, ys = cols
 
@@ -79,54 +82,162 @@ _BOUND_SLACK = 1e-9
 
 
 class _Buckets:
-    """Anchor indices in a uniform grid of cubic buckets, about one anchor
+    """Anchor indices in a uniform grid of cubic buckets, about load anchors
     per bucket, for the fixed-radius near-neighbour search of Bentley, "Fast
-    algorithms for geometric traveling salesman problems" (1992)."""
+    algorithms for geometric traveling salesman problems" (1992).
 
-    def __init__(self, pts, members):
-        members = list(members)
-        dim = len(pts[0])
-        self.lo = [min(pts[i][a] for i in members) for a in range(dim)]
-        ext = [max(pts[i][a] for i in members) - self.lo[a]
-               for a in range(dim)]
+    pts is an (m, d) float array and members an ascending index array.
+    self.members holds them bucket by bucket, ascending within a bucket,
+    bucket f holding members[starts[f]:starts[f + 1]]; flat bucket indices
+    are mixed radix, axis 0 least significant. ids and bounds are the same
+    two arrays as Python lists, for the ring search. keys holds each
+    member's bucket, in the order members were given; key(p) is the same
+    floor for one point.
+    """
+
+    def __init__(self, pts, members, load=1):
+        dim = pts.shape[1]
+        sub = pts[members]
+        lo = sub.min(axis=0)
+        ext = (sub.max(axis=0) - lo).tolist()
         top = max(ext)
-        self.side = top / len(members) ** (1.0 / dim) if top > 0.0 else 1.0
+        self.lo = lo.tolist()
+        self.side = top / (len(members) / load) ** (1.0 / dim) \
+            if top > 0.0 else 1.0
         self.counts = [int(e / self.side) + 1 for e in ext]
+        self.strides = [math.prod(self.counts[:a]) for a in range(dim)]
         self.size = len(members)
-        self.cells = {}
-        self.home = {}
-        for i in members:
-            key = self.key(pts[i])
-            self.cells.setdefault(key, []).append(i)
-            self.home[i] = key
+        self.keys = np.floor((sub - lo) / self.side).astype(np.int64)
+        flat = self.keys @ np.array(self.strides, dtype=np.int64)
+        held = np.argsort(flat, kind="stable")
+        self.members = np.asarray(members)[held]
+        self.starts = np.searchsorted(flat[held],
+                                      np.arange(math.prod(self.counts) + 1))
+        self.ids = self.members.tolist()
+        self.bounds = self.starts.tolist()
 
     def key(self, p):
         return tuple(math.floor((x - lo) / self.side)
                      for x, lo in zip(p, self.lo))
 
-    def remove(self, i):
-        self.cells[self.home.pop(i)].remove(i)
-
     def ring(self, center, r):
         """Members of the buckets at Chebyshev distance r from center, or
         None when no bucket lies that far."""
+        ids, bounds = self.ids, self.bounds
         if r == 0:
-            return self.cells.get(center, ())
+            if all(0 <= k < n for k, n in zip(center, self.counts)):
+                f = sum(k * st for k, st in zip(center, self.strides))
+                return ids[bounds[f]:bounds[f + 1]]
+            return ()
         if all(k - r < 0 and k + r >= n for k, n in zip(center, self.counts)):
             return None
         out = []
         for axis in range(len(center)):
-            # shell part whose first axis at offset +-r is this one
+            # shell part whose first axis at offset +-r is this one; each
+            # range holds the axis's flat offsets
             ranges = []
-            for a, (k, n) in enumerate(zip(center, self.counts)):
+            for a, (k, n, st) in enumerate(zip(center, self.counts,
+                                               self.strides)):
                 if a == axis:
-                    ranges.append([v for v in (k - r, k + r) if 0 <= v < n])
+                    ranges.append([v * st for v in (k - r, k + r)
+                                   if 0 <= v < n])
                 else:
                     w = r - 1 if a < axis else r
-                    ranges.append(range(max(k - w, 0), min(k + w, n - 1) + 1))
+                    ranges.append(range(max(k - w, 0) * st,
+                                        (min(k + w, n - 1) + 1) * st, st))
             for key in itertools.product(*ranges):
-                out.extend(self.cells.get(key, ()))
+                f = sum(key)
+                out.extend(ids[bounds[f]:bounds[f + 1]])
         return out
+
+
+# neighbour-list length of the closed-form nearest-neighbour walk, the
+# anchors per bucket of the grid the lists are drawn from, and the most
+# candidates a list reads from one run of buckets
+_NEAR = 10
+_NEAR_LOAD = 3
+_NEAR_RUN = 48
+
+
+def _neighbour_lists(pts, k=_NEAR, chunk=2048):
+    """Each anchor's nearest anchors, for _nearest_neighbour_order: an
+    (m, k) int64 array whose row i holds anchors j != i in increasing
+    (|pts[i] - pts[j]|, j) order, distances rounded as _norm_function's.
+
+    Candidates are the anchors of i's block of 3^d buckets (_Buckets, about
+    _NEAR_LOAD anchors each). A row keeps the candidates strictly closer
+    than its k-th nearest candidate and than i's margin, the distance from
+    pts[i] to the nearest bucket outside the block, less a slack for the
+    rounding of bucket keys; the rest of the row is m. Every anchor
+    missing from a row is at least as far as the row's bound, so the first
+    unvisited anchor of a row, where there is one, is the nearest
+    unvisited anchor, ties to the lower index (Bentley 1992; Johnson and
+    McGeoch, "The traveling salesman problem: a case study in local
+    optimization", 1997). Ties at the bound are why it is strict: on a
+    lattice a tied anchor of lower index may lie outside the row.
+
+    A row whose block holds a run of more than _NEAR_RUN candidates along
+    axis 0 is all m, so clustered anchors cost O(m) memory and time here;
+    the walk takes the ring search from those anchors.
+    """
+    m, dim = pts.shape
+    grid = _Buckets(pts, np.arange(m), load=_NEAR_LOAD)
+    keys, side = grid.keys, grid.side
+    counts = np.array(grid.counts)
+    lo = np.array(grid.lo)
+    below = np.where(keys > 1, pts - (lo + (keys - 1) * side), np.inf)
+    above = np.where(keys + 2 < counts, (lo + (keys + 2) * side) - pts,
+                     np.inf)
+    margin = np.minimum(below, above).min(axis=1) \
+        - _BOUND_SLACK * (side + float(np.abs(pts).max()))
+    # coordinates padded with a point at infinity for the padding index m
+    cols = [np.append(pts[:, a], np.inf) for a in range(dim)]
+    out = np.empty((m, k), dtype=np.int64)
+    for first in range(0, m, chunk):
+        rows = np.arange(first, min(first + chunk, m))
+        kr = keys[rows]
+        # the block is one run of up to three buckets along axis 0 per
+        # offset of the other axes
+        start = np.maximum(kr[:, 0] - 1, 0)
+        stop = np.minimum(kr[:, 0] + 1, grid.counts[0] - 1) + 1
+        blocks = []
+        crowded = np.zeros(len(rows), dtype=bool)
+        for off in itertools.product((-1, 0, 1), repeat=dim - 1):
+            base = np.zeros(len(rows), dtype=np.int64)
+            inside = np.ones(len(rows), dtype=bool)
+            for a, o in enumerate(off, start=1):
+                ka = kr[:, a] + o
+                inside &= (ka >= 0) & (ka < grid.counts[a])
+                base += ka * grid.strides[a]
+            base = np.where(inside, base, 0)
+            s = grid.starts[base + start]
+            length = np.where(inside, grid.starts[base + stop] - s, 0)
+            crowded |= length > _NEAR_RUN
+            length = np.minimum(length, _NEAR_RUN)
+            span = np.arange(max(int(length.max()), 1))
+            idx = np.minimum(s[:, None] + span, m - 1)
+            blocks.append(np.where(span < length[:, None],
+                                   grid.members[idx], m))
+        if sum(b.shape[1] for b in blocks) < k:
+            blocks.append(np.full((len(rows), k), m))
+        cand = np.concatenate(blocks, axis=1)
+        sq = None
+        for col in cols:
+            diff = col[rows][:, None] - col[cand]
+            sq = diff * diff if sq is None else sq + diff * diff
+        dist = np.sqrt(sq)
+        dist[cand == rows[:, None]] = np.inf
+        part = np.argpartition(dist, k - 1, axis=1)[:, :k]
+        dist = np.take_along_axis(dist, part, axis=1)
+        cand = np.take_along_axis(cand, part, axis=1)
+        ranked = np.lexsort((cand, dist), axis=1)
+        dist = np.take_along_axis(dist, ranked, axis=1)
+        cand = np.take_along_axis(cand, ranked, axis=1)
+        bound = np.minimum(dist[:, -1], margin[rows])
+        cand[dist >= bound[:, None]] = m
+        cand[crowded] = m
+        out[rows] = cand
+    return out
 
 
 def _curvature_bound(model, anchors):
@@ -166,48 +277,70 @@ def _curvature_bound(model, anchors):
     return lower
 
 
-def _nearest_neighbour_order(pts, norm, per_length, cost=None, lower=None):
+def _nearest_neighbour_order(pts, norm, per_length, cost=None, lower=None,
+                             near=None):
     """Greedy open path from anchor 0: the cheapest remaining anchor next,
-    ties to the lower index.
+    ties to the lower index. Returns (order, ring searches made).
 
-    cost(i, j) is the exact cost, or None when the cost is norm(i, j)
-    itself; per_length * norm(i, j) never exceeds it. lower(i, j), given
-    with cost, never exceeds cost either and is checked before cost is
-    called. Buckets are searched ring by ring until the unseen rings, so
-    bounded, cannot beat the best cost. The grid is rebuilt when the
-    remaining anchors fall to a quarter of those it was built on, so late
-    searches do not walk empty buckets.
+    pts is the (m, d) float array of anchor points. cost(i, j) is the exact
+    cost, or None when the cost is norm(i, j) itself; per_length *
+    norm(i, j) never exceeds it. lower(i, j), given with cost, never
+    exceeds cost either and is checked before cost is called. near, given
+    without cost, is _neighbour_lists(pts): a step takes the first
+    unvisited anchor of the last anchor's row. Other steps search buckets
+    ring by ring until the unseen rings, so bounded, cannot beat the best
+    cost; the buckets skip visited anchors, and are rebuilt on the
+    remaining ones when those fall to a quarter of the ones they were built
+    on, so late searches do not walk empty buckets.
     """
     m = len(pts)
+    seen = bytearray(m + 1)
+    seen[0] = seen[m] = 1    # m pads the rows of near
+    width = 0 if near is None else near.shape[1]
+    rows = memoryview(near.ravel()) if width else None
     order = [0]
-    grid = _Buckets(pts, range(1, m))
-    while len(order) < m:
-        if 4 * (m - len(order)) <= grid.size:
-            grid = _Buckets(pts, grid.home)
-        last = order[-1]
-        center = grid.key(pts[last])
-        best = (math.inf, m)
-        for r in itertools.count():
-            # buckets of ring r or beyond lie (r - 1) sides away or more
-            reach = best[0] * (1.0 + _BOUND_SLACK)
-            if (r - 1) * grid.side * per_length > reach:
-                break
-            found = grid.ring(center, r)
-            if found is None:
-                break
-            for j in found:
-                if cost is None:
-                    c = norm(last, j)
-                elif lower(last, j) > reach:
-                    continue
-                else:
-                    c = cost(last, j)
-                if (c, j) < best:
-                    best = (c, j)
-                    reach = c * (1.0 + _BOUND_SLACK)
-        grid.remove(best[1])
-        order.append(best[1])
-    return order
+    grid = None
+    searches = 0
+    last = 0
+    for left in range(m - 1, 0, -1):
+        nxt = m
+        if width:
+            for nxt in rows[last * width:(last + 1) * width]:
+                if not seen[nxt]:
+                    break
+        if seen[nxt]:
+            searches += 1
+            if grid is None or 4 * left <= grid.size:
+                grid = _Buckets(pts, np.flatnonzero(
+                    np.frombuffer(seen, dtype=np.uint8)[:m] == 0),
+                    load=1 if near is None else _NEAR_LOAD)
+            center = grid.key(pts[last].tolist())
+            best = (math.inf, m)
+            for r in itertools.count():
+                # buckets of ring r or beyond lie (r - 1) sides away or more
+                reach = best[0] * (1.0 + _BOUND_SLACK)
+                if (r - 1) * grid.side * per_length > reach:
+                    break
+                found = grid.ring(center, r)
+                if found is None:
+                    break
+                for j in found:
+                    if seen[j]:
+                        continue
+                    if cost is None:
+                        c = norm(last, j)
+                    elif lower(last, j) > reach:
+                        continue
+                    else:
+                        c = cost(last, j)
+                    if (c, j) < best:
+                        best = (c, j)
+                        reach = c * (1.0 + _BOUND_SLACK)
+            nxt = best[1]
+        seen[nxt] = 1
+        order.append(nxt)
+        last = nxt
+    return order, searches
 
 
 def _screen(pts, order, edge, per_length, shrink):
@@ -297,23 +430,34 @@ def _two_opt(order, leg, pts, per_length, shrink=0.0, exact=None,
     return moves
 
 
-def roots_tour(model, anchors, counters=None):
-    """(ordered anchors, realized path time): nearest neighbor then 2-opt.
+def roots_tour(model, anchors, counters=None, timings=None):
+    """(order, realized path time): nearest neighbor then 2-opt, the order
+    as a list of indices into anchors.
 
     The realized time upper-bounds the optimal open tour through the anchors,
     which is all the cover-level term of the time bound needs. Models with a
     closed-form distance order by Euclidean norm and report legs as numpy's
-    vector norm / speed; the others use steer times. counters, where given,
-    is a dict that gets the number of 2-opt moves as "two_opt_moves".
+    vector norm / speed; the others use steer times. anchors is a sequence
+    of configurations or a float array of one per row.
+
+    counters, where given, is a dict that gets the number of 2-opt moves as
+    "two_opt_moves", the nearest-neighbour steps decided by a ring search
+    as "nn_fallbacks" (every step, for models without a closed form) and
+    the steer calls as "steers". timings, where given, is a dict that gets
+    the perf_counter seconds of "nn_order", "two_opt" and "leg_sum".
     """
     m = len(anchors)
     if m == 0:
         raise ValueError("at least one anchor required")
-    if m == 1:
-        return [anchors[0]], 0.0
-    pts = [tuple(float(v) for v in a[:model.workspace_dim]) for a in anchors]
-    norm = _norm_function(pts)
-    arr = np.asarray(pts)
+    clock = []
+
+    def tick():
+        if timings is not None:
+            clock.append(time.perf_counter())
+
+    tick()
+    arr = np.asarray(anchors, dtype=float)[:, :model.workspace_dim]
+    norm = _norm_function(arr)
     speed = dyn.closed_form_speed(model)
     if speed is not None:
         def leg(i, j):
@@ -325,10 +469,21 @@ def roots_tour(model, anchors, counters=None):
             # flip a 2-opt comparison
             return float(np.linalg.norm(arr[i] - arr[j])) / speed
 
-        order = _nearest_neighbour_order(pts, norm, 1.0)
+        order, searches = _nearest_neighbour_order(
+            arr, norm, 1.0, near=_neighbour_lists(arr))
+        tick()
         moves = _two_opt(order, leg, arr, (1.0 - _BOUND_SLACK) / speed,
                          exact=exact)
+        tick()
+        # each row's norm as np.linalg.norm takes it, the square root of
+        # the row's dot product with itself; summed in path order
+        diff = arr[order[:-1]] - arr[order[1:]]
+        legs = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel()) / speed
+        total = sum(legs.tolist())
+        steers = 0
     else:
+        if isinstance(anchors, np.ndarray):
+            anchors = list(map(tuple, anchors.tolist()))
         cache = {}
 
         def leg(i, j):
@@ -339,7 +494,6 @@ def roots_tour(model, anchors, counters=None):
                                            anchors[key[1]]).duration
             return t
 
-        exact = leg
         per_length = 1.0 / model.speed_limit()
         if model.model_id == "reeds_shepp":
             lower = _curvature_bound(model, anchors)
@@ -351,78 +505,85 @@ def roots_tour(model, anchors, counters=None):
 
             def lower(i, j):
                 return norm(i, j) * screen[0]
-        order = _nearest_neighbour_order(pts, norm, per_length, leg, lower)
+        order, searches = _nearest_neighbour_order(arr, norm, per_length,
+                                                   leg, lower)
+        tick()
         moves = _two_opt(order, leg, arr, *screen, lower=lower)
+        tick()
+        total = sum(leg(order[k], order[k + 1]) for k in range(m - 1))
+        steers = len(cache)
     if counters is not None:
-        counters["two_opt_moves"] = moves
-    total = sum(exact(order[k], order[k + 1]) for k in range(m - 1))
-    return [anchors[i] for i in order], float(total)
+        counters.update(two_opt_moves=moves, nn_fallbacks=searches,
+                        steers=steers)
+    tick()
+    if timings is not None:
+        timings.update(zip(_ROOTS_TOUR_STAGES, np.diff(clock).tolist()))
+    return order, float(total)
 
 
-def _target_config(model, cell, point):
-    """Configuration the vehicle occupies while visiting a workspace point."""
-    if model.config_dim > model.workspace_dim:
-        return (float(point[0]), float(point[1]), cell.anchor[2])
-    return tuple(float(v) for v in point)
+def _realize_root(model, child, anchor, plan, leaves, config, t0, segments,
+                  visited):
+    """Realize one root's collection plan from the root's anchor, starting
+    at time t0; returns the piece's duration. The piece starts and ends at
+    the root anchor.
 
-
-def _realize_root(model, cover, root_idx, groups, point, plans):
-    """Plan and realize one root's collection tour.
-
-    groups maps each canonical path in the root to its target ids, and
-    point(tid) gives a target's coordinates. Roots with the same set of
-    paths share one plan: plans caches them by the sorted path tuple.
-
-    Returns (segments, visits, duration); the piece starts and ends at the
-    root anchor, visit times are relative to the piece start.
+    child is an hcs.ChildAnchors, leaves[k] the target ids at the plan's
+    k-th path and config(tid, at) the configuration that visits target tid
+    from the cell anchored at at. Cells are anchors only, built as the plan
+    enters them. The segments go onto segments and (tid, t0 + visit time
+    in the piece) onto visited.
     """
-    paths = tuple(sorted(groups))
-    plan = plans.get(paths)
-    if plan is None:
-        params = hcp.HcpParams(branch_factor=cover.s ** cover.gamma,
-                               scale=cover.s)
-        plan = plans[paths] = hcp.construct_optimal_plan(
-            hcp.HcpInstance(params, paths))
-
-    # cells are built as the plan enters them
-    stack = [hcs.make_cell(model, cover.roots[root_idx].anchor, cover.eps0)]
-    segments = []
-    visits = []
+    steer = dyn.steer
+    stack = [anchor]
     t = 0.0
-
-    def push(traj):
-        nonlocal t
-        segments.extend(traj.segments)
-        t += traj.duration
-
     for action in plan:
+        at = stack[-1]
         if action[0] == "down":
-            child = hcs.child_cell(model, stack[-1], action[1], cover.s)
-            push(dyn.steer(model, stack[-1].anchor, child.anchor))
-            stack.append(child)
+            nxt = child(at, len(stack) - 1, action[1])
+            stack.append(nxt)
         elif action[0] == "up":
-            parent = stack[-2]
-            push(dyn.steer(model, stack[-1].anchor, parent.anchor))
             stack.pop()
+            nxt = stack[-1]
         else:
-            for tid in groups[paths[action[1]]]:
-                cfg = _target_config(model, stack[-1], point(tid))
-                out = dyn.steer(model, stack[-1].anchor, cfg)
+            for tid in leaves[action[1]]:
+                out = steer(model, at, config(tid, at))
                 # out and back the same way: fsum rounds correctly, so the
                 # way back takes out's duration again
                 d = out.duration
                 segments.extend(out.segments)
                 t += d
-                visits.append((tid, t))
+                visited.append((tid, t0 + t))
                 segments.extend(dyn.reversed_segments(model, out.segments))
                 t += d
+            continue
+        traj = steer(model, at, nxt)
+        segments.extend(traj.segments)
+        t += traj.duration
     if len(stack) != 1:
         raise RuntimeError("plan did not return to the root")
-    return segments, visits, t
+    return t
 
 
-# the stages of solve_dstsp that with_info times
-_STAGES = ("locate", "roots_tour", "realize")
+def _visit_configs(model, pts):
+    """config(tid, at): the configuration that visits target tid, row tid
+    of the float array pts, from the cell anchored at at. The coordinates
+    are read from one flat view: no object per target."""
+    width = pts.shape[1]
+    coords = memoryview(np.ascontiguousarray(pts).ravel())
+    if model.config_dim > model.workspace_dim:
+        def config(tid, at):
+            # the car visits at the cell's heading
+            return (coords[tid * width], coords[tid * width + 1], at[2])
+    else:
+        def config(tid, at):
+            return tuple(coords[tid * width:(tid + 1) * width])
+    return config
+
+
+# the stages of solve_dstsp that with_info times, in order, and the stages
+# of roots_tour it times inside its own
+_STAGES = ("locate", "roots_tour", "plan", "realize")
+_ROOTS_TOUR_STAGES = ("nn_order", "two_opt", "leg_sum")
 
 
 def solve_dstsp(model, cover, targets, with_info=False):
@@ -433,10 +594,13 @@ def solve_dstsp(model, cover, targets, with_info=False):
     of the last, and total_time has no leg back to the start.
 
     Targets are located and addressed in one numpy pass (hcs.root_indices
-    and hcs.descend). with_info adds an info dict, which also holds the
-    perf_counter seconds of the three stages ("timings": locate, roots_tour,
-    realize) and "counters": occupied roots, plans built (one per distinct
-    set of paths in a root) and 2-opt moves.
+    and hcs.descend). with_info adds an info dict, which also holds
+    "timings", the perf_counter seconds of the stages: locate, roots_tour
+    (with its nn_order, two_opt and leg_sum inside it), plan (building the
+    collection plans) and realize (the rest of the per-root loop); and
+    "counters": occupied roots, plans built (one per distinct set of paths
+    in a root), 2-opt moves, nn_fallbacks (nearest-neighbour steps decided
+    by a ring search) and steers (steer calls).
     """
     if not model.symmetric:
         raise NotSymmetric("tour realization reverses steers")
@@ -446,13 +610,103 @@ def solve_dstsp(model, cover, targets, with_info=False):
         tour = Tour(dyn.Trajectory(model, start, ()), (), 0.0)
         if with_info:
             return tour, {"c_eps0": 0.0, "roots": {}, "depths": {},
-                          "timings": dict.fromkeys(_STAGES, 0.0),
+                          "timings": dict.fromkeys(
+                              _STAGES + _ROOTS_TOUR_STAGES, 0.0),
                           "counters": {"occupied_roots": 0, "plans_built": 0,
-                                       "two_opt_moves": 0}}
+                                       "two_opt_moves": 0, "nn_fallbacks": 0,
+                                       "steers": 0}}
         return tour
     if with_info:
         clock = [time.perf_counter()]
+    occupied, counts, depths, groups, path = _address(cover, pts)
+    # one-dimensional int64 views: a root's groups are groups[0][k] up to
+    # groups[0][k + 1], group g's code is groups[1][g] and its target ids
+    # are groups[3][groups[2][g]:groups[2][g + 1]]
+    root_groups, codes, bounds, ids = map(memoryview, groups)
+    anchors = hcs.root_anchors(cover, occupied)
+    if with_info:
+        clock.append(time.perf_counter())
 
+    counters = {} if with_info else None
+    timings = {} if with_info else None
+    order, c_eps0 = roots_tour(model, anchors, counters, timings)
+    config_dim = anchors.shape[1]
+    anchors = memoryview(anchors.ravel())
+    if with_info:
+        clock.append(time.perf_counter())
+
+    config = _visit_configs(model, pts)
+    params = hcp.HcpParams(branch_factor=cover.s ** cover.gamma,
+                           scale=cover.s)
+    child = hcs.ChildAnchors(model, cover.eps0, cover.s)
+    plans = {}
+    uses = {}    # roots per plan, counted for with_info
+    plan_s = 0.0
+    segments = []
+    visited = []
+    t = 0.0
+    prev_anchor = None
+    for k in order:
+        anchor = tuple(anchors[k * config_dim:(k + 1) * config_dim])
+        if prev_anchor is not None:
+            leg = dyn.steer(model, prev_anchor, anchor)
+            segments.extend(leg.segments)
+            t += leg.duration
+        else:
+            start = anchor
+        first, stop = root_groups[k], root_groups[k + 1]
+        # roots with the same set of paths share one plan
+        key = tuple(codes[first:stop])
+        plan = plans.get(key)
+        if plan is None:
+            if with_info:
+                began = time.perf_counter()
+            plan = plans[key] = hcp.construct_optimal_plan(
+                hcp.HcpInstance(params, tuple(map(path, key))))
+            if with_info:
+                plan_s += time.perf_counter() - began
+        if with_info:
+            uses[key] = uses.get(key, 0) + 1
+        leaves = [ids[bounds[g]:bounds[g + 1]] for g in range(first, stop)]
+        t += _realize_root(model, child, anchor, plan, leaves, config, t,
+                           segments, visited)
+        prev_anchor = anchor
+
+    tour = Tour(dyn.Trajectory(model, start, tuple(segments)),
+                tuple(visited), float(t))
+    if with_info:
+        clock.append(time.perf_counter())
+        moves = sum(n * sum(1 for a in plans[p] if a[0] != "collect")
+                    for p, n in uses.items())
+        counters.update(occupied_roots=len(occupied), plans_built=len(plans),
+                        steers=counters["steers"] + len(order) - 1
+                        + len(pts) + moves)
+        loop = clock[3] - clock[2]
+        timings.update(locate=clock[1] - clock[0],
+                       roots_tour=clock[2] - clock[1],
+                       plan=plan_s, realize=loop - plan_s)
+        occupied = occupied.tolist()
+        info = {"c_eps0": c_eps0,
+                "roots": dict(zip(occupied, counts)),
+                "depths": dict(zip(occupied, depths)),
+                "root_order": [occupied[k] for k in order],
+                "timings": timings,
+                "counters": counters}
+        return tour, info
+    return tour
+
+
+def _address(cover, pts):
+    """Locate and address every target in one numpy pass.
+
+    Returns (occupied roots, an int64 array; target counts and tree depths
+    per occupied root, lists; groups; path). groups holds four int64
+    arrays: per occupied root the index of its first group, and one past
+    the last root's; per group its path code and the index of its first
+    target, and one past the last group's; and the target ids, by root,
+    then path, then id, so that a group is a run of one path in one root.
+    path(code) is the path a code stands for.
+    """
     try:
         roots = hcs.root_indices(cover, pts)
     except OutOfSupport as err:
@@ -473,70 +727,30 @@ def solve_dstsp(model, cover, targets, with_info=False):
     depths = [ceil_log(nj) + 1 if nj > 1 else 1 for nj in counts]
     digits = hcs.descend(cover, roots, pts, max(depths))
     # canonical paths: the digits down to each target's root depth,
-    # trailing zeros stripped
-    levels = np.arange(1, digits.shape[1] + 1)
-    kept = (digits != 0) & (levels <= np.array(depths)[inverse, None])
-    lengths = (levels * kept).max(axis=1).tolist()
-    # flat Python lists: no object per target
+    # trailing zeros stripped. A path's code holds digit + 1 per level in
+    # radix b_bar + 1, zero past its end, so codes order as paths do
     depth = digits.shape[1]
-    digits = digits.ravel().tolist()
-    ids = np.argsort(inverse, kind="stable").tolist()
-    ends = np.cumsum(counts).tolist()
-    occupied = occupied.tolist()
-    if with_info:
-        clock.append(time.perf_counter())
+    radix = b_bar + 1
+    if radix ** depth >= 2 ** 63:
+        raise TooLarge(f"paths of depth {depth} overflow their int64 codes")
+    levels = np.arange(1, depth + 1)
+    kept = (digits != 0) & (levels <= np.array(depths)[inverse, None])
+    lengths = (levels * kept).max(axis=1)
+    codes = np.where(levels <= lengths[:, None], digits + 1, 0) \
+        @ radix ** np.arange(depth - 1, -1, -1, dtype=np.int64)
 
-    anchors = [cover.roots[ri].anchor for ri in occupied]
-    counters = {"two_opt_moves": 0} if with_info else None
-    ordered, c_eps0 = roots_tour(model, anchors, counters)
-    slot_of = {a: k for k, a in enumerate(anchors)}
-    slots = [slot_of[a] for a in ordered]
-    if with_info:
-        clock.append(time.perf_counter())
+    def path(code):
+        digits = (code // radix ** (depth - 1 - level) % radix
+                  for level in range(depth))
+        return tuple(v - 1 for v in digits if v)
 
-    width = pts.shape[1]
-    coords = pts.ravel().tolist()
-
-    def point(tid):
-        return coords[tid * width:(tid + 1) * width]
-
-    plans = {}
-    segments = []
-    visited = []
-    t = 0.0
-    prev_anchor = None
-    for k in slots:
-        anchor = anchors[k]
-        if prev_anchor is not None:
-            leg = dyn.steer(model, prev_anchor, anchor)
-            segments.extend(leg.segments)
-            t += leg.duration
-        groups = {}
-        for tid in ids[ends[k] - counts[k]:ends[k]]:
-            at = tid * depth
-            groups.setdefault(tuple(digits[at:at + lengths[tid]]),
-                              []).append(tid)
-        seg, visits, dur = _realize_root(model, cover, occupied[k], groups,
-                                         point, plans)
-        segments.extend(seg)
-        visited.extend((tid, t + vt) for tid, vt in visits)
-        t += dur
-        prev_anchor = anchor
-
-    tour = Tour(dyn.Trajectory(model, anchors[slots[0]], tuple(segments)),
-                tuple(visited), float(t))
-    if with_info:
-        clock.append(time.perf_counter())
-        counters.update(occupied_roots=len(occupied), plans_built=len(plans))
-        info = {"c_eps0": c_eps0,
-                "roots": dict(zip(occupied, counts)),
-                "depths": dict(zip(occupied, depths)),
-                "root_order": [occupied[k] for k in slots],
-                "timings": {name: b - a for name, a, b
-                            in zip(_STAGES, clock, clock[1:])},
-                "counters": counters}
-        return tour, info
-    return tour
+    ids = np.lexsort((codes, inverse))
+    key = np.stack([inverse[ids], codes[ids]])
+    firsts = np.flatnonzero(np.append(True, (key[:, 1:] != key[:, :-1])
+                                      .any(axis=0)))
+    groups = (np.searchsorted(key[0, firsts], np.arange(len(counts) + 1)),
+              key[1, firsts], np.append(firsts, len(ids)), ids)
+    return occupied, counts, depths, groups, path
 
 
 def tour_visits_all(tour, targets, tol=1e-6):

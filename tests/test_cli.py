@@ -2,8 +2,11 @@
 
 import csv
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -468,3 +471,127 @@ def test_console_entry_point_runs():
     assert r.returncode == 0
     for name in cli.SUBCOMMANDS:
         assert name in r.stdout
+
+
+# ------------------------------------------------------- replacing outputs
+#
+# Every file the CLI writes goes through one helper: a sibling temporary
+# file, renamed into place after the old file is unlinked (a hard link to
+# the old file keeps its bytes, so nothing was truncated), and a symlink or
+# non-regular path written in place.
+
+def _writers(tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"b": 4, "s": 2, "targets": [[1], [2, 3]]}))
+    return {
+        "csv": ["concentration", "--n", "300", "--seed", "2"],
+        "json": ["concentration", "--n", "300", "--seed", "2", "--format",
+                 "json"],
+        "build-cover": ["build-cover", "--model", "euclidean2", "--eps0",
+                        "0.25"],
+        "hcp-solve": ["hcp-solve", "--instance", inst],
+        "check-bounds": ["check-bounds", "--n", "1000"],
+    }
+
+
+@pytest.mark.parametrize("writer", ["csv", "json", "build-cover",
+                                    "hcp-solve", "check-bounds"])
+def test_outputs_are_replaced_not_rewritten(tmp_path, writer):
+    argv = _writers(tmp_path)[writer]
+    out = tmp_path / "out" / "r.out"
+    out.parent.mkdir()
+    manifest = out.parent / "r.manifest.json"
+    assert _main(argv + ["--out", out]) == 0
+    first = out.read_bytes(), manifest.read_bytes()
+    assert first[0]
+    os.link(out, tmp_path / "old.out")
+    os.link(manifest, tmp_path / "old.manifest.json")
+    assert _main(argv + ["--out", out]) == 0
+    assert (out.read_bytes(), manifest.read_bytes()) == first
+    assert (tmp_path / "old.out").read_bytes() == first[0]
+    assert (tmp_path / "old.manifest.json").read_bytes() == first[1]
+    assert os.stat(out).st_ino != os.stat(tmp_path / "old.out").st_ino
+    # no temporary file is left behind
+    assert sorted(p.name for p in out.parent.iterdir()) == \
+        ["r.manifest.json", "r.out"]
+
+
+@pytest.mark.parametrize("writer", ["csv", "build-cover"])
+def test_symlinked_out_is_written_through(tmp_path, writer):
+    argv = _writers(tmp_path)[writer]
+    target = tmp_path / "elsewhere" / "report"
+    target.parent.mkdir()
+    target.write_text("old")
+    link = tmp_path / "out" / "r.out"
+    link.parent.mkdir()
+    link.symlink_to(target)
+    assert _main(argv + ["--out", link]) == 0
+    assert link.is_symlink()
+    plain = tmp_path / "plain.out"
+    assert _main(argv + ["--out", plain]) == 0
+    assert target.read_bytes() == plain.read_bytes()
+    assert sorted(p.name for p in link.parent.iterdir()) == \
+        ["r.manifest.json", "r.out"]
+    assert sorted(p.name for p in target.parent.iterdir()) == ["report"]
+
+
+def test_a_write_that_raises_leaves_no_temporary_file(tmp_path):
+    path = tmp_path / "r.csv"
+    cli.emit_report([{"a": 1}], path, "csv")
+    before = path.read_bytes()
+
+    def failing():
+        yield {"a": 2}
+        raise RuntimeError("stream broke")
+
+    for target in (path, tmp_path / "new.csv"):
+        with pytest.raises(RuntimeError, match="stream broke"):
+            cli.emit_report(failing(), target, "csv")
+    # the old file is as it was, and nothing else is there
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+    with pytest.raises(ValueError, match="format"):
+        cli.emit_report([{"a": 1}], tmp_path / "x.txt", "xml")
+    assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+
+def test_out_whose_temporary_file_cannot_be_made_is_written_in_place(
+        tmp_path, monkeypatch):
+    path = tmp_path / "r.csv"
+    path.write_text("old")
+    # a file of the temporary file's name is the user's: left alone
+    taken = tmp_path / f"r.csv.{os.getpid()}.tmp"
+    taken.write_text("mine")
+    inode = os.stat(path).st_ino
+    cli.emit_report([{"a": 1}], path, "csv")
+    assert path.read_bytes() == b"a\n1\n"
+    assert os.stat(path).st_ino == inode
+    assert taken.read_text() == "mine"
+    taken.unlink()
+
+    # a directory the user may not write to, where the file itself is
+    # writable
+    def refuse_temporary(file, mode="r", *args, **kwargs):
+        if str(file).endswith(".tmp"):
+            raise PermissionError(13, "Permission denied", str(file))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", refuse_temporary, raising=False)
+    cli.emit_report([{"a": 2}], path, "csv")
+    assert path.read_bytes() == b"a\n2\n"
+    assert os.stat(path).st_ino == inode
+    assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+
+def test_non_regular_out_is_written_in_place(tmp_path):
+    # a FIFO, as /dev/stdout can be: opened and written, not replaced
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+    reader.start()
+    cli.emit_report([{"a": 1}], fifo, "csv")
+    reader.join(timeout=10)
+    assert got == [b"a\n1\n"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]

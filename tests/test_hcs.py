@@ -1,5 +1,6 @@
 """Cell structures: subdivision, covers, locate, and volume fractions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -337,6 +338,139 @@ def test_cover_json_without_roots_is_config_error():
         del roots[1][key]
         with pytest.raises(ConfigError, match="root 1"):
             hcs.cover_from_json(dict(obj, roots=roots))
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (lambda o: o.pop("support"), "support"),
+    (lambda o: o.pop("eps0"), "eps0"),
+    (lambda o: o.pop("model"), "model"),
+    (lambda o: o.pop("s"), "'s'"),
+    (lambda o: o.pop("gamma"), "gamma"),
+    (lambda o: o.pop("rho"), "rho"),
+    (lambda o: o.update(eps0="0.5"), "eps0"),
+    (lambda o: o.update(eps0=math.inf), "eps0"),
+    (lambda o: o.update(rho=math.nan), "rho"),
+    (lambda o: o.update(s=2.5), "'s'"),
+    (lambda o: o.update(gamma=True), "gamma"),
+    (lambda o: o.update(model="diff_drive"), "model"),
+    (lambda o: o.update(support=[[0.0, 0.0]]), "support"),
+    (lambda o: o.update(support=[[0.0, 0.0], [1.0, "1"]]), "support"),
+    (lambda o: o.update(support=[[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]),
+     "support"),
+    (lambda o: o["roots"][1].update(anchor=[0.5, math.inf]), "root 1"),
+    (lambda o: o["roots"][1].update(anchor=[0.5, 0.5, 0.0]), "root 1"),
+    (lambda o: o["roots"][1].update(box=[[-0.1, 0.1]]), "root 1 'box'"),
+    (lambda o: o["roots"][1].update(box=[[-0.1, 0.1]] * 3),
+     "root 1 'box'"),
+    (lambda o: o["roots"][1].update(box=[[-0.1, "0.1"], [-0.1, 0.1]]),
+     "root 1 'box'"),
+    (lambda o: o["roots"][1].update(box=[[-0.1], [-0.1, 0.1]]),
+     "root 1 'box'"),
+])
+def test_malformed_cover_json_is_config_error_naming_the_field(mutate,
+                                                                field):
+    obj = hcs.cover_to_json(hcs.build_cover(E2, ((0.0, 0.0), (1.0, 1.0)),
+                                            0.5))
+    mutate(obj)
+    with pytest.raises(ConfigError, match=field):
+        hcs.cover_from_json(obj)
+
+
+def test_cover_json_checks_the_car_anchor_and_its_workspace_box():
+    obj = hcs.cover_to_json(hcs.build_cover(RS, ((0.0, 0.0), (1.0, 1.0)),
+                                            0.3))
+    assert len(obj["roots"][0]["anchor"]) == 3
+    assert len(obj["roots"][0]["box"]) == 2
+    hcs.cover_from_json(obj)
+    obj["roots"][2]["anchor"] = obj["roots"][2]["anchor"][:2]
+    with pytest.raises(ConfigError, match="root 2 'anchor'"):
+        hcs.cover_from_json(obj)
+    with pytest.raises(ConfigError, match="object"):
+        hcs.cover_from_json([])
+
+
+# ----------------------------------------------- lattice roots vs eager roots
+
+def reference_build_cover_roots(model, support, eps0):
+    """The root cells hcs.build_cover built eagerly before TileRoots."""
+    mins, maxs = (tuple(float(v) for v in support[0]),
+                  tuple(float(v) for v in support[1]))
+    sides = tuple(2.0 * h for h in hcs.half_widths(model, eps0))
+    counts = tuple(max(1, math.ceil((b - a) / w - 1e-12))
+                   for a, b, w in zip(mins, maxs, sides))
+    heading = 0.0
+    roots = []
+    for flat in range(int(np.prod(counts))):
+        rem = flat
+        idx = []
+        for c in counts:
+            idx.append(rem % c)
+            rem //= c
+        center = tuple(mins[i] + (idx[i] + 0.5) * sides[i]
+                       for i in range(len(counts)))
+        anchor = center + ((heading,) if
+                           model.config_dim > model.workspace_dim else ())
+        roots.append(hcs.make_cell(model, anchor, eps0))
+    return tuple(roots)
+
+
+@pytest.mark.parametrize("model, support, eps0", [
+    (E2, ((0.0, 0.0), (1.0, 1.0)), 0.037),
+    (E2, ((-1.5, 0.25), (2.0, 0.9)), 0.11),
+    (SC, ((0.0, 0.0), (1.0, 1.0)), 0.07),
+    (E3, ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), 0.09),
+    (E3, ((-0.3, 0.0, 2.0), (0.4, 1.0, 2.5)), 0.05),
+    (RS, ((0.0, 0.0), (1.0, 1.0)), 0.21),
+    (RS, ((-2.0, -0.5), (3.0, 0.5)), 0.4),
+])
+def test_lattice_roots_match_the_eager_cells(model, support, eps0):
+    cover = hcs.build_cover(model, support, eps0)
+    want = reference_build_cover_roots(model, support, eps0)
+    roots = cover.roots
+    assert isinstance(roots, hcs.TileRoots)
+    assert len(roots) == cover.m == len(want)
+    assert len(want) > 20
+    for i, cell in enumerate(want):
+        assert roots[i] == cell
+        assert all(type(v) is float for v in roots[i].anchor)
+    assert list(roots) == list(want)
+    for i in (-1, -2, -len(want)):
+        assert roots[i] == want[i]
+    assert roots[3:11:2] == want[3:11:2]
+    assert roots[-3:] == want[-3:]
+    for bad in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            roots[bad]
+    # the anchors of many roots at once, with the same float operations
+    flat = np.array([0, 5, len(want) - 1, 7, 5])
+    assert hcs.root_anchors(cover, flat).tolist() == \
+        [list(want[k].anchor) for k in flat.tolist()]
+    # and the JSON of the lazy cover is the JSON of the eager one
+    eager = dataclasses.replace(cover, roots=want)
+    assert hcs.cover_to_json(cover) == hcs.cover_to_json(eager)
+
+
+def test_cover_from_json_keeps_its_roots_as_cells():
+    cover = hcs.build_cover(RS, ((0.0, 0.0), (1.0, 1.0)), 0.3)
+    back = hcs.cover_from_json(hcs.cover_to_json(cover))
+    assert isinstance(back.roots, tuple)
+    assert back.roots == tuple(cover.roots)
+    flat = np.arange(back.m)[::-1].copy()
+    assert hcs.root_anchors(back, flat).tolist() == \
+        hcs.root_anchors(cover, flat).tolist()
+
+
+def test_child_anchors_match_child_cells():
+    for model, anchor in ((E2, (0.3, 0.6)), (E3, (0.3, 0.6, 0.1)),
+                          (SC, (0.5, 0.5)), (RS, (0.3, 0.6, 1.1))):
+        child = hcs.ChildAnchors(model, 0.4, 2)
+        cells = [hcs.make_cell(model, anchor, 0.4)]
+        rng = unit_rng(len(anchor))
+        for depth in range(5):
+            index = int(rng.integers(0, 2 ** hcs.model_gamma(model)))
+            got = child(cells[-1].anchor, depth, index)
+            cells.append(hcs.child_cell(model, cells[-1], index, 2))
+            assert got == cells[-1].anchor
 
 
 # ------------------------------------------- one-pass location vs frozen loops

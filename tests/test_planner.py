@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -96,17 +97,48 @@ def test_with_info_gives_the_same_tour_and_times_its_stages():
     plain = planner.solve_dstsp(E2, cov, pts)
     tour, info = planner.solve_dstsp(E2, cov, pts, with_info=True)
     assert tour == plain
-    assert set(info["timings"]) == {"locate", "roots_tour", "realize"}
-    assert all(s >= 0.0 for s in info["timings"].values())
+    timings = info["timings"]
+    assert set(timings) == {"locate", "roots_tour", "plan", "realize",
+                            "nn_order", "two_opt", "leg_sum"}
+    assert all(s >= 0.0 for s in timings.values())
+    assert timings["nn_order"] + timings["two_opt"] + timings["leg_sum"] \
+        <= timings["roots_tour"]
     counters = info["counters"]
     assert counters["occupied_roots"] == len(info["roots"]) \
         == len(info["root_order"])
     # roots with the same set of paths share one plan
     assert 0 < counters["plans_built"] < counters["occupied_roots"]
     assert counters["two_opt_moves"] > 0
+    assert 0 < counters["nn_fallbacks"] < counters["occupied_roots"] // 4
     _, one = planner.solve_dstsp(E2, cov, pts[:1], with_info=True)
     assert one["counters"] == {"occupied_roots": 1, "plans_built": 1,
-                               "two_opt_moves": 0}
+                               "two_opt_moves": 0, "nn_fallbacks": 0,
+                               "steers": 1}
+
+
+@pytest.mark.parametrize("model", [E2, RS])
+def test_with_info_counts_every_steer(model):
+    pts = uniform_targets(300, 2)
+    eps0 = planner.default_eps0(300, hcs.model_gamma(model))
+    cov = hcs.build_cover(model, SQ, eps0)
+    calls = []
+    steer = dyn.steer
+
+    def counted(*args):
+        calls.append(args)
+        return steer(*args)
+
+    with mock.patch.object(dyn, "steer", counted):
+        _, info = planner.solve_dstsp(model, cov, pts, with_info=True)
+    assert info["counters"]["steers"] == len(calls)
+
+
+def test_default_path_reads_no_clock():
+    pts = uniform_targets(512, 1)
+    cov = hcs.build_cover(E2, SQ, planner.default_eps0(512, 2))
+    with mock.patch.object(planner.time, "perf_counter",
+                           side_effect=AssertionError("clock read")):
+        planner.solve_dstsp(E2, cov, pts)
 
 
 def test_asymmetric_model_rejected():
@@ -191,25 +223,26 @@ def test_bidirectional_car_end_to_end():
 # ----------------------------------------------------------------- roots_tour
 
 def test_roots_tour_trivial_sizes():
-    ordered, t = planner.roots_tour(E2, [(0.5, 0.5)])
-    assert t == 0.0 and ordered == [(0.5, 0.5)]
-    ordered, t = planner.roots_tour(E2, [(0.0, 0.0), (3.0, 4.0)])
+    order, t = planner.roots_tour(E2, [(0.5, 0.5)])
+    assert t == 0.0 and order == [0]
+    order, t = planner.roots_tour(E2, [(0.0, 0.0), (3.0, 4.0)])
     assert t == pytest.approx(5.0)
-    assert sorted(ordered) == [(0.0, 0.0), (3.0, 4.0)]
+    assert sorted(order) == [0, 1]
 
 
 def test_roots_tour_grid_boustrophedon_bound():
     h = 0.1
     anchors = [(i * h, j * h) for j in range(4) for i in range(4)]
-    ordered, t = planner.roots_tour(E2, anchors)
-    assert sorted(ordered) == sorted(anchors)
+    order, t = planner.roots_tour(E2, anchors)
+    assert sorted(order) == list(range(len(anchors)))
     assert t <= 16 * h * 1.5
 
 
 def test_roots_tour_steering_metric():
     anchors = [(0.1, 0.1, 0.0), (0.6, 0.1, 0.0), (0.6, 0.6, 0.0)]
-    ordered, t = planner.roots_tour(RS, anchors)
-    assert sorted(ordered) == sorted(anchors)
+    order, t = planner.roots_tour(RS, anchors)
+    assert sorted(order) == list(range(len(anchors)))
+    ordered = [anchors[i] for i in order]
     legs = sum(dyn.steer(RS, ordered[k], ordered[k + 1]).duration
                for k in range(2))
     assert t == pytest.approx(legs)

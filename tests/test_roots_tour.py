@@ -1,13 +1,19 @@
-"""Root ordering and lazily built cells against frozen reference versions.
+"""Root ordering, cells and realization against frozen reference versions.
 
 reference_roots_tour and reference_build_hcs are the straightforward
 implementations that planner.roots_tour and hcs.child_cell replaced: a full
 nearest-neighbour scan with numpy norms (closed-form models) or one steer per
 remaining anchor (others), a 2-opt on numpy norms, and an eagerly built cell
 tree. reference_two_opt is planner._two_opt before its numpy screen: the
-same checks on every row of every pass. The fast versions must agree with
-them exactly, not approximately: tours are reported bit for bit.
+same checks on every row of every pass. reference_nearest_neighbour_order is
+planner._nearest_neighbour_order before neighbour lists: a ring search of
+Python buckets at every step. reference_realize_root is
+planner._realize_root before it stopped building cells. The fast versions
+must agree with them exactly, not approximately: tours are reported bit for
+bit.
 """
+
+import itertools
 
 import math
 from unittest import mock
@@ -19,6 +25,7 @@ from hypothesis import strategies as st
 
 from dstsp_lab import bounds as bnd
 from dstsp_lab import dynamics as dyn
+from dstsp_lab import hcp
 from dstsp_lab import hcs
 from dstsp_lab import planner
 
@@ -174,10 +181,10 @@ def reference_build_hcs(model, anchor, eps, depth, s, level=0):
 
 
 def _assert_same_tour(model, anchors):
-    got = planner.roots_tour(model, anchors)
+    order, total = planner.roots_tour(model, anchors)
     want = reference_roots_tour(model, anchors)
-    assert got[0] == want[0]
-    assert got[1] == want[1]
+    assert [anchors[i] for i in order] == want[0]
+    assert total == want[1]
 
 
 def _lattice_anchors(model, eps0, fraction, seed):
@@ -427,3 +434,337 @@ def test_screened_two_opt_reports_its_moves():
     counters = {}
     planner.roots_tour(model, anchors, counters)
     assert counters["two_opt_moves"] == _two_opt_moves(model, anchors)
+
+
+# ------------------------------------- neighbour-list walk vs its ring oracle
+
+class ReferenceBuckets:
+    """planner._Buckets before numpy: a dict of Python lists per bucket."""
+
+    def __init__(self, pts, members):
+        members = list(members)
+        dim = len(pts[0])
+        self.lo = [min(pts[i][a] for i in members) for a in range(dim)]
+        ext = [max(pts[i][a] for i in members) - self.lo[a]
+               for a in range(dim)]
+        top = max(ext)
+        self.side = top / len(members) ** (1.0 / dim) if top > 0.0 else 1.0
+        self.counts = [int(e / self.side) + 1 for e in ext]
+        self.size = len(members)
+        self.cells = {}
+        self.home = {}
+        for i in members:
+            key = self.key(pts[i])
+            self.cells.setdefault(key, []).append(i)
+            self.home[i] = key
+
+    def key(self, p):
+        return tuple(math.floor((x - lo) / self.side)
+                     for x, lo in zip(p, self.lo))
+
+    def remove(self, i):
+        self.cells[self.home.pop(i)].remove(i)
+
+    def ring(self, center, r):
+        if r == 0:
+            return self.cells.get(center, ())
+        if all(k - r < 0 and k + r >= n for k, n in zip(center, self.counts)):
+            return None
+        out = []
+        for axis in range(len(center)):
+            ranges = []
+            for a, (k, n) in enumerate(zip(center, self.counts)):
+                if a == axis:
+                    ranges.append([v for v in (k - r, k + r) if 0 <= v < n])
+                else:
+                    w = r - 1 if a < axis else r
+                    ranges.append(range(max(k - w, 0), min(k + w, n - 1) + 1))
+            for key in itertools.product(*ranges):
+                out.extend(self.cells.get(key, ()))
+        return out
+
+
+def reference_nearest_neighbour_order(pts, norm, per_length, cost=None,
+                                      lower=None):
+    """planner._nearest_neighbour_order before neighbour lists; pts is a
+    list of points."""
+    slack = planner._BOUND_SLACK
+    m = len(pts)
+    order = [0]
+    grid = ReferenceBuckets(pts, range(1, m))
+    while len(order) < m:
+        if 4 * (m - len(order)) <= grid.size:
+            grid = ReferenceBuckets(pts, grid.home)
+        last = order[-1]
+        center = grid.key(pts[last])
+        best = (math.inf, m)
+        for r in itertools.count():
+            reach = best[0] * (1.0 + slack)
+            if (r - 1) * grid.side * per_length > reach:
+                break
+            found = grid.ring(center, r)
+            if found is None:
+                break
+            for j in found:
+                if cost is None:
+                    c = norm(last, j)
+                elif lower(last, j) > reach:
+                    continue
+                else:
+                    c = cost(last, j)
+                if (c, j) < best:
+                    best = (c, j)
+                    reach = c * (1.0 + slack)
+        grid.remove(best[1])
+        order.append(best[1])
+    return order
+
+
+def _assert_same_walk(points, k=planner._NEAR, chunk=2048):
+    """The neighbour-list walk of points (an (m, d) array) gives the
+    reference order; returns its ring searches."""
+    arr = np.asarray(points, dtype=float)
+    norm = planner._norm_function(arr)
+    want = reference_nearest_neighbour_order(arr.tolist(), norm, 1.0)
+    near = planner._neighbour_lists(arr, k, chunk)
+    got, searches = planner._nearest_neighbour_order(arr, norm, 1.0,
+                                                     near=near)
+    assert got == want
+    return searches
+
+
+@st.composite
+def walk_points(draw):
+    """Lattices (cover anchors, most distances tied), the same shuffled,
+    random points, points with repeats, and fewer points than a list
+    holds; in two or three dimensions."""
+    dim = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["lattice", "shuffled", "random",
+                                 "repeats", "few"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if kind in ("lattice", "shuffled"):
+        side = draw(st.integers(2, 14 if dim == 2 else 6))
+        h = draw(st.sampled_from([0.05, 1.0 / 3.0, 7.9]))
+        cells = np.array(list(itertools.product(range(side), repeat=dim)))
+        cells = cells[rng.random(len(cells)) < draw(st.sampled_from(
+            [0.3, 0.7, 1.0]))]
+        if kind == "shuffled":
+            rng.shuffle(cells)
+        pts = (cells + 0.5) * h
+    else:
+        m = draw(st.integers(2, 9)) if kind == "few" \
+            else draw(st.integers(2, 300))
+        pts = rng.uniform(-2.0, 3.0, size=(m, dim))
+        if kind == "repeats":
+            pts = pts[rng.integers(0, max(m // 3, 1), size=m)]
+    return pts
+
+
+@settings(max_examples=120, deadline=None)
+@given(walk_points(), st.sampled_from([1, 2, 4, planner._NEAR]),
+       st.sampled_from([1, 7, 2048]))
+def test_neighbour_list_walk_matches_reference(points, k, chunk):
+    if len(points) >= 2:
+        _assert_same_walk(points, k, chunk)
+
+
+def test_neighbour_list_walk_matches_reference_on_collinear_points():
+    line = [(0.1 * i, 0.5) for i in (3, 0, 7, 1, 9, 2, 8, 8, 4)]
+    _assert_same_walk(line)
+    _assert_same_walk([(0.5, 0.5)] * 14 + [(0.25, 0.5)])
+    # a far outlier stretches the buckets over empty space
+    _assert_same_walk([(0.001 * i, 0.0) for i in range(40)] + [(9.0, 9.0)])
+
+
+def test_crowded_buckets_leave_their_anchors_to_the_ring_search():
+    # a cluster with one far outlier puts hundreds of anchors in a bucket
+    rng = np.random.default_rng(9)
+    pts = np.vstack([rng.uniform(0.0, 0.01, size=(600, 2)),
+                     [(5.0, 5.0), (5.0, 4.0)]])
+    near = planner._neighbour_lists(pts)
+    crowded = (near == len(pts)).all(axis=1)
+    assert crowded.sum() >= 600
+    assert _assert_same_walk(pts) >= 600
+    rng.shuffle(pts)
+    _assert_same_walk(pts)
+
+
+def test_neighbour_lists_hold_nearest_anchors_in_order():
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0.0, 1.0, size=(500, 2))
+    near = planner._neighbour_lists(pts)
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    np.fill_diagonal(dist, np.inf)
+    held = 0
+    for i, row in enumerate(near.tolist()):
+        row = [j for j in row if j < len(pts)]
+        held += len(row)
+        # the nearest anchors, by (distance, index)
+        want = sorted(range(len(pts)), key=lambda j: (dist[i, j], j))
+        assert row == want[:len(row)]
+    assert held > 5 * len(pts)
+
+
+@pytest.mark.parametrize("name", ["scaled_grid", "reeds_shepp"])
+def test_ring_search_makes_the_reference_steers(name):
+    # models without a closed form keep the ring search at every step, and
+    # it prices the same pairs in the same order as before
+    model = MODELS[name]
+    anchors = _random_anchors(model, 60, 3)
+    arr = np.array([a[:2] for a in anchors])
+    norm = planner._norm_function(arr)
+    lower = planner._curvature_bound(model, anchors) \
+        if name == "reeds_shepp" else (lambda i, j: 0.0)
+
+    def cost(calls):
+        def steer_time(i, j):
+            calls.append((i, j))
+            return dyn.steer(model, anchors[i], anchors[j]).duration
+        return steer_time
+
+    want_calls, got_calls = [], []
+    want = reference_nearest_neighbour_order(arr.tolist(), norm, 0.0,
+                                             cost(want_calls), lower)
+    got, searches = planner._nearest_neighbour_order(
+        arr, norm, 0.0, cost(got_calls), lower)
+    assert got == want and got_calls == want_calls
+    assert searches == len(anchors) - 1
+
+
+def test_uniform_tour_at_65536_targets_matches_the_references():
+    # one uniform draw at the north star's scale: the nearest-neighbour
+    # order against its oracle, the leg sum against numpy's norm of each
+    # leg, and the tour time against the value the eager implementation
+    # (cells for every root, a ring search per step, a norm per leg) gave
+    model = MODELS["euclidean2"]
+    n = 65536
+    cover = hcs.build_cover(model, SQ, planner.default_eps0(n, 2))
+    pts = np.random.default_rng(0).uniform(0.0, 1.0, size=(n, 2))
+    occupied = np.unique(hcs.root_indices(cover, pts))
+    arr = hcs.root_anchors(cover, occupied)
+    assert _assert_same_walk(arr) < len(arr) // 10
+    anchors = list(map(tuple, arr.tolist()))
+    order, total = planner.roots_tour(model, anchors)
+    ordered = [anchors[i] for i in order]
+    assert total == sum(float(np.linalg.norm(np.subtract(a, b)))
+                        for a, b in zip(ordered, ordered[1:]))
+    assert planner.solve_dstsp(model, cover, pts).total_time \
+        == 400.5340490201034
+
+
+# --------------------------------------------- lean realization vs oracle
+
+def reference_reversed_segments(model, segments):
+    """dynamics.reversed_segments as it was: one dispatch per segment."""
+    def flip(control):
+        if model.model_id == "reeds_shepp":
+            return (-float(control[0]), float(control[1]))
+        return tuple(-float(c) for c in control)
+    return [(flip(c), d) for c, d in reversed(segments)]
+
+
+def reference_realize_root(model, cover, root_idx, groups, point, plans):
+    """planner._realize_root as it was: a cell per level the plan enters
+    and a configuration tuple per target."""
+    paths = tuple(sorted(groups))
+    plan = plans.get(paths)
+    if plan is None:
+        params = hcp.HcpParams(branch_factor=cover.s ** cover.gamma,
+                               scale=cover.s)
+        plan = plans[paths] = hcp.construct_optimal_plan(
+            hcp.HcpInstance(params, paths))
+    stack = [hcs.make_cell(model, cover.roots[root_idx].anchor, cover.eps0)]
+    segments = []
+    visits = []
+    t = 0.0
+
+    def push(traj):
+        nonlocal t
+        segments.extend(traj.segments)
+        t += traj.duration
+
+    for action in plan:
+        if action[0] == "down":
+            child = hcs.child_cell(model, stack[-1], action[1], cover.s)
+            push(dyn.steer(model, stack[-1].anchor, child.anchor))
+            stack.append(child)
+        elif action[0] == "up":
+            parent = stack[-2]
+            push(dyn.steer(model, stack[-1].anchor, parent.anchor))
+            stack.pop()
+        else:
+            for tid in groups[paths[action[1]]]:
+                p = point(tid)
+                if model.config_dim > model.workspace_dim:
+                    cfg = (float(p[0]), float(p[1]), stack[-1].anchor[2])
+                else:
+                    cfg = tuple(float(v) for v in p)
+                out = dyn.steer(model, stack[-1].anchor, cfg)
+                d = out.duration
+                segments.extend(out.segments)
+                t += d
+                visits.append((tid, t))
+                segments.extend(reference_reversed_segments(model,
+                                                            out.segments))
+                t += d
+    assert len(stack) == 1
+    return segments, visits, t, plan
+
+
+def _reference_groups(cover, pts):
+    """Per occupied root, its canonical paths' target ids, as solve_dstsp
+    grouped them before path codes."""
+    roots = hcs.root_indices(cover, pts)
+    occupied, inverse, counts = np.unique(roots, return_inverse=True,
+                                          return_counts=True)
+    b_bar = cover.s ** cover.gamma
+    depths = [1 + (math.ceil(math.log(c, b_bar) - 1e-12) if c > 1 else 0)
+              for c in counts.tolist()]
+    digits = hcs.descend(cover, roots, pts, max(depths)).tolist()
+    out = {}
+    for tid, (k, row) in enumerate(zip(inverse.tolist(), digits)):
+        path = row[:depths[k]]
+        while path and path[-1] == 0:
+            path.pop()
+        out.setdefault(int(occupied[k]), {}).setdefault(
+            tuple(path), []).append(tid)
+    return out
+
+
+def _turned(cover, heading):
+    obj = hcs.cover_to_json(cover)
+    for r in obj["roots"]:
+        r["anchor"][2] = heading
+    return hcs.cover_from_json(obj)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_lean_realization_matches_reference(name):
+    model = MODELS[name]
+    support = CUBE if model.workspace_dim == 3 else SQ
+    rng = np.random.default_rng(len(name))
+    for n, eps0 in ((40, 0.45), (300, 0.3), (2000, 0.5)):
+        cover = hcs.build_cover(model, support, eps0)
+        covers = [cover]
+        if model.config_dim > model.workspace_dim:
+            covers.append(_turned(cover, 0.7))
+        pts = rng.uniform(0.0, 1.0, size=(n, model.workspace_dim))
+        width = pts.shape[1]
+        coords = pts.ravel().tolist()
+
+        def point(tid):
+            return coords[tid * width:(tid + 1) * width]
+
+        config = planner._visit_configs(model, pts)
+        for cov in covers:
+            child = hcs.ChildAnchors(model, cov.eps0, cov.s)
+            plans = {}
+            for root, groups in _reference_groups(cov, pts).items():
+                segs, visits, dur, plan = reference_realize_root(
+                    model, cov, root, groups, point, plans)
+                got_segs, got_visits = [], []
+                got = planner._realize_root(
+                    model, child, cov.roots[root].anchor, plan,
+                    [groups[p] for p in sorted(groups)], config, 0.0,
+                    got_segs, got_visits)
+                assert (got_segs, got_visits, got) == (segs, visits, dur)
