@@ -4,8 +4,8 @@ Every subcommand resolves an ExperimentConfig (defaults, then a JSON config
 file, then explicit flags, flags winning), runs its experiment with seeded
 substreams, and writes a delimited report plus a JSON run manifest. Outputs
 are a pure function of (config, seed): same inputs give byte-identical files.
-Experiments run serially; the threads field is validated and echoed in the
-manifest as an execution field but starts no workers.
+Experiments run serially; --threads is parsed for old command lines and
+ignored, and a config file may not name it.
 """
 
 import argparse
@@ -47,7 +47,6 @@ _DEFAULTS = {
     "delta": 0.1,
     "zeta": 0.05,
     "eps0": None,
-    "threads": None,
     "out": "report.csv",
     "format": "csv",
     "assert_checks": False,
@@ -67,8 +66,7 @@ class ExperimentConfig:
     seed: int
     delta: float
     zeta: float
-    eps0: object
-    threads: int
+    eps0: float     # None: default_eps0 of each run's n
     out: str
     format: str
     assert_checks: bool
@@ -91,14 +89,18 @@ class ExperimentConfig:
             raise ConfigError("field 'delta': must be positive")
         if self.zeta <= 0.0:
             raise ConfigError("field 'zeta': must be positive")
-        if self.eps0 is not None and float(self.eps0) <= 0.0:
+        if self.eps0 is not None and self.eps0 <= 0.0:
             raise ConfigError("field 'eps0': must be positive")
-        if self.threads < 1:
-            raise ConfigError("field 'threads': must be >= 1")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"field 'format': unknown {self.format!r}")
         if not isinstance(self.model, dict) or "model" not in self.model:
             raise ConfigError("field 'model': needs a 'model' key")
+
+
+def _boolean(val):
+    if not isinstance(val, bool):
+        raise TypeError(f"must be true or false, got {val!r}")
+    return val
 
 
 def _parse_n(text):
@@ -106,13 +108,6 @@ def _parse_n(text):
         return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
     except ValueError as err:
         raise ConfigError(f"field 'n': {err}") from err
-
-
-def _default_threads():
-    try:
-        return max(1, int(os.environ.get("DSTSP_LAB_THREADS", 1)))
-    except ValueError as err:
-        raise ConfigError(f"env DSTSP_LAB_THREADS: {err}") from err
 
 
 def resolve_config(subcommand, args):
@@ -138,8 +133,8 @@ def resolve_config(subcommand, args):
                     raise ConfigError("field 'model': string or object")
                 merged["model"].update(val)
             elif key == "n":
-                merged["n"] = tuple(int(v) for v in val) \
-                    if isinstance(val, (list, tuple)) else _parse_n(val)
+                merged["n"] = tuple(val) if isinstance(val, list) \
+                    else _parse_n(val)
             elif key == "extras":
                 if not isinstance(val, dict):
                     raise ConfigError("field 'extras': must be an object")
@@ -159,29 +154,30 @@ def resolve_config(subcommand, args):
         val = getattr(args, flag)
         if val is not None:
             merged[flag] = val
-    if args.threads is not None:
-        merged["threads"] = args.threads
-    if merged["threads"] is None:
-        merged["threads"] = _default_threads()
     if getattr(args, "assert_checks", False):
         merged["assert_checks"] = True
     if getattr(args, "instance", None) is not None:
         merged["extras"]["instance"] = args.instance
 
+    def typed(key, convert):
+        try:
+            return convert(merged[key])
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"field {key!r}: {err}") from err
+
     cfg = ExperimentConfig(
         subcommand=subcommand,
         model=merged["model"],
         density=str(merged["density"]),
-        n=tuple(int(v) for v in merged["n"]),
-        seeds=int(merged["seeds"]),
-        seed=int(merged["seed"]),
-        delta=float(merged["delta"]),
-        zeta=float(merged["zeta"]),
-        eps0=merged["eps0"],
-        threads=int(merged["threads"]),
+        n=typed("n", lambda v: tuple(int(x) for x in v)),
+        seeds=typed("seeds", int),
+        seed=typed("seed", int),
+        delta=typed("delta", float),
+        zeta=typed("zeta", float),
+        eps0=typed("eps0", lambda v: None if v is None else float(v)),
         out=str(merged["out"]),
         format=str(merged["format"]),
-        assert_checks=bool(merged["assert_checks"]),
+        assert_checks=typed("assert_checks", _boolean),
         extras=dict(merged["extras"]),
     )
     cfg.validate()
@@ -302,14 +298,14 @@ def _manifest_path(out):
 
 
 # config fields that say how a run executes, not what it computes
-_EXECUTION_FIELDS = ("threads", "out")
+_EXECUTION_FIELDS = ("out",)
 
 
 def write_manifest(cfg, out_paths, input_paths=()):
     """Config echo plus content hashes of every input and output file.
 
     resolved_config hashes the experiment fields only, so runs that differ
-    in worker count or output path but compute the same reports share it.
+    in output path but compute the same reports share it.
     """
     echo = dataclasses.asdict(cfg)
     echo["n"] = list(cfg.n)
@@ -498,7 +494,7 @@ def _cmd_run_dstsp(cfg, model=None, densities=None):
         f = fields[name]
         j_val = bnd.interaction_integral(f, g_field, gamma)
         for n in cfg.n:
-            eps0 = float(cfg.eps0) if cfg.eps0 is not None \
+            eps0 = cfg.eps0 if cfg.eps0 is not None \
                 else planner.default_eps0(n, gamma)
             cover = hcs.build_cover(model, support, eps0, s=2)
             alpha = _measured_alpha(cfg, model, cover, g_field)
@@ -563,7 +559,7 @@ def _cmd_estimate_agility(cfg):
     cells = _extra(cfg, "cells", (2, 2), _grid_shape)
     n_samples = _extra(cfg, "n_samples", 4000, _int_within(1))
     headings = _extra(cfg, "headings", 8, _int_within(1))
-    eps0 = float(cfg.eps0) if cfg.eps0 is not None else 0.05
+    eps0 = cfg.eps0 if cfg.eps0 is not None else 0.05
     geometry = bnd.GridField((0.0, 0.0), 1.0 / cells[0],
                              np.zeros(cells))
     rng = make_rng(cfg.seed, "estimate-agility")
@@ -586,7 +582,7 @@ def _cmd_estimate_agility(cfg):
 
 def _cmd_build_cover(cfg):
     model = dyn.make_model(cfg.model)
-    eps0 = float(cfg.eps0) if cfg.eps0 is not None \
+    eps0 = cfg.eps0 if cfg.eps0 is not None \
         else planner.default_eps0(int(cfg.n[0]), hcs.model_gamma(model))
     support = _extra(cfg, "support", ((0.0, 0.0), (1.0, 1.0)),
                      lambda v: (_floats(v[0]), _floats(v[1])))
@@ -808,9 +804,8 @@ def build_parser():
         p.add_argument("--zeta", type=float, default=None)
         p.add_argument("--eps0", type=float, default=None)
         p.add_argument("--threads", type=int, default=None,
-                       help="accepted and recorded in the manifest; runs "
-                            "are serial and start no workers (default: "
-                            "DSTSP_LAB_THREADS, else 1)")
+                       help="ignored: runs are serial; accepted so that "
+                            "older command lines still parse")
         p.add_argument("--assert", dest="assert_checks", action="store_true",
                        help="exit nonzero if any acceptance property fails")
         p.add_argument("--out", default=None, help="output file path")

@@ -263,12 +263,6 @@ class Trajectory:
     def duration(self):
         return math.fsum([d for _, d in self.segments])
 
-    def endpoint(self):
-        q = self.start
-        for control, dt in self.segments:
-            q = integrate(self.model, q, control, dt)
-        return q
-
     def configuration_at(self, t):
         """Configuration at absolute time t (clamped to the end)."""
         q = self.start
@@ -443,7 +437,7 @@ def reverse_trajectory(traj):
     """Same workspace curve traversed backwards; duration unchanged."""
     if not traj.model.symmetric:
         raise NotSymmetric("model does not admit trajectory reversal")
-    return Trajectory(traj.model, traj.endpoint(),
+    return Trajectory(traj.model, traj.configuration_at(math.inf),
                       tuple(reversed_segments(traj.model, traj.segments)))
 
 

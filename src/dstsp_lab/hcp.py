@@ -333,29 +333,30 @@ def construct_optimal_plan(instance):
         return []
     group = [(canonical_path(t), tid) for tid, t in enumerate(instance.targets)]
     plan = []
-
-    # iterative DFS; frames are (depth, group) generators of pending work
-    def emit(depth, group):
-        buckets = defaultdict(list)
-        for path, tid in group:
-            buckets[child_at(path, depth)].append((path, tid))
-        local = []
-        descents = []
-        for child in sorted(buckets):
-            sub = buckets[child]
-            if len(sub) * (s - 1) > s:
-                descents.append((child, sub))
-            else:
-                local.extend(tid for _, tid in sub)
-        for tid in sorted(local):
-            plan.append(("collect", tid))
-        for child, sub in descents:
-            plan.append(("down", child))
-            emit(depth + 1, sub)
-            plan.append(("up",))
-
-    emit(0, group)
+    _emit(plan, s, 0, group)
     return plan
+
+
+def _emit(plan, s, depth, group):
+    """Append to plan the actions of the vertex at depth that the (path,
+    target id) pairs of group pass through, its subtree included."""
+    buckets = defaultdict(list)
+    for path, tid in group:
+        buckets[child_at(path, depth)].append((path, tid))
+    local = []
+    descents = []
+    for child in sorted(buckets):
+        sub = buckets[child]
+        if len(sub) * (s - 1) > s:
+            descents.append((child, sub))
+        else:
+            local.extend(tid for _, tid in sub)
+    for tid in sorted(local):
+        plan.append(("collect", tid))
+    for child, sub in descents:
+        plan.append(("down", child))
+        _emit(plan, s, depth + 1, sub)
+        plan.append(("up",))
 
 
 def _plan_by_levels(instance):

@@ -431,20 +431,19 @@ def _two_opt(order, leg, pts, per_length, shrink=0.0, exact=None,
 
 
 def roots_tour(model, anchors, counters=None, timings=None):
-    """(order, realized path time): nearest neighbor then 2-opt, the order
-    as a list of indices into anchors.
+    """Open path through the anchors, nearest neighbor then 2-opt, as a
+    list of indices into anchors.
 
-    The realized time upper-bounds the optimal open tour through the anchors,
-    which is all the cover-level term of the time bound needs. Models with a
-    closed-form distance order by Euclidean norm and report legs as numpy's
-    vector norm / speed; the others use steer times. anchors is a sequence
-    of configurations or a float array of one per row.
+    Models with a closed-form distance order by Euclidean norm, with near
+    ties decided by numpy's vector norm / speed; the others use steer
+    times. anchors is a sequence of configurations or a float array of one
+    per row.
 
     counters, where given, is a dict that gets the number of 2-opt moves as
     "two_opt_moves", the nearest-neighbour steps decided by a ring search
     as "nn_fallbacks" (every step, for models without a closed form) and
     the steer calls as "steers". timings, where given, is a dict that gets
-    the perf_counter seconds of "nn_order", "two_opt" and "leg_sum".
+    the perf_counter seconds of "nn_order" and "two_opt".
     """
     m = len(anchors)
     if m == 0:
@@ -464,9 +463,10 @@ def roots_tour(model, anchors, counters=None, timings=None):
             return norm(i, j) / speed
 
         def exact(i, j):
-            # the legs reported; plain-float legs can differ from them by a
-            # few units in the last place, which at near ties is enough to
-            # flip a 2-opt comparison
+            # plain-float legs can differ from numpy's norm by a few units
+            # in the last place, which at near ties is enough to flip a
+            # 2-opt comparison; numpy's norm decides those, which keeps the
+            # orders behind the recorded report digests
             return float(np.linalg.norm(arr[i] - arr[j])) / speed
 
         order, searches = _nearest_neighbour_order(
@@ -474,12 +474,6 @@ def roots_tour(model, anchors, counters=None, timings=None):
         tick()
         moves = _two_opt(order, leg, arr, (1.0 - _BOUND_SLACK) / speed,
                          exact=exact)
-        tick()
-        # each row's norm as np.linalg.norm takes it, the square root of
-        # the row's dot product with itself; summed in path order
-        diff = arr[order[:-1]] - arr[order[1:]]
-        legs = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel()) / speed
-        total = sum(legs.tolist())
         steers = 0
     else:
         if isinstance(anchors, np.ndarray):
@@ -509,16 +503,14 @@ def roots_tour(model, anchors, counters=None, timings=None):
                                                    leg, lower)
         tick()
         moves = _two_opt(order, leg, arr, *screen, lower=lower)
-        tick()
-        total = sum(leg(order[k], order[k + 1]) for k in range(m - 1))
         steers = len(cache)
+    tick()
     if counters is not None:
         counters.update(two_opt_moves=moves, nn_fallbacks=searches,
                         steers=steers)
-    tick()
     if timings is not None:
         timings.update(zip(_ROOTS_TOUR_STAGES, np.diff(clock).tolist()))
-    return order, float(total)
+    return order
 
 
 def _realize_root(model, child, anchor, plan, leaves, config, t0, segments,
@@ -583,7 +575,7 @@ def _visit_configs(model, pts):
 # the stages of solve_dstsp that with_info times, in order, and the stages
 # of roots_tour it times inside its own
 _STAGES = ("locate", "roots_tour", "plan", "realize")
-_ROOTS_TOUR_STAGES = ("nn_order", "two_opt", "leg_sum")
+_ROOTS_TOUR_STAGES = ("nn_order", "two_opt")
 
 
 def solve_dstsp(model, cover, targets, with_info=False):
@@ -594,9 +586,11 @@ def solve_dstsp(model, cover, targets, with_info=False):
     of the last, and total_time has no leg back to the start.
 
     Targets are located and addressed in one numpy pass (hcs.root_indices
-    and hcs.descend). with_info adds an info dict, which also holds
-    "timings", the perf_counter seconds of the stages: locate, roots_tour
-    (with its nn_order, two_opt and leg_sum inside it), plan (building the
+    and hcs.descend). with_info adds an info dict: "c_eps0", the summed
+    durations of the legs between roots as the tour drives them; per
+    occupied root its target count ("roots") and tree depth ("depths");
+    "root_order"; "timings", the perf_counter seconds of the stages: locate,
+    roots_tour (with its nn_order and two_opt inside it), plan (building the
     collection plans) and realize (the rest of the per-root loop); and
     "counters": occupied roots, plans built (one per distinct set of paths
     in a root), 2-opt moves, nn_fallbacks (nearest-neighbour steps decided
@@ -629,7 +623,7 @@ def solve_dstsp(model, cover, targets, with_info=False):
 
     counters = {} if with_info else None
     timings = {} if with_info else None
-    order, c_eps0 = roots_tour(model, anchors, counters, timings)
+    order = roots_tour(model, anchors, counters, timings)
     config_dim = anchors.shape[1]
     anchors = memoryview(anchors.ravel())
     if with_info:
@@ -645,6 +639,7 @@ def solve_dstsp(model, cover, targets, with_info=False):
     segments = []
     visited = []
     t = 0.0
+    c_eps0 = 0.0
     prev_anchor = None
     for k in order:
         anchor = tuple(anchors[k * config_dim:(k + 1) * config_dim])
@@ -652,6 +647,7 @@ def solve_dstsp(model, cover, targets, with_info=False):
             leg = dyn.steer(model, prev_anchor, anchor)
             segments.extend(leg.segments)
             t += leg.duration
+            c_eps0 += leg.duration
         else:
             start = anchor
         first, stop = root_groups[k], root_groups[k + 1]

@@ -121,25 +121,36 @@ def test_config_validation_errors():
         cli.resolve_config("run-dstsp", _args("run-dstsp", delta=0))
 
 
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("DSTSP_LAB_THREADS", "2")
-    cfg = cli.resolve_config("run-dstsp", _args("run-dstsp"))
-    assert cfg.threads == 2
-    monkeypatch.setenv("DSTSP_LAB_THREADS", "zebra")
-    with pytest.raises(ConfigError, match="DSTSP_LAB_THREADS"):
-        cli.resolve_config("run-dstsp", _args("run-dstsp"))
-
-
-def test_default_threads_ignore_the_core_count(tmp_path, monkeypatch):
-    monkeypatch.delenv("DSTSP_LAB_THREADS", raising=False)
+def test_threads_flag_and_env_change_nothing(tmp_path, monkeypatch):
+    # --threads still parses and, like DSTSP_LAB_THREADS, is ignored: the
+    # report and manifest are those of a run with neither
     out = tmp_path / "r.csv"
-    manifests = []
-    for cores in (2, 64):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
-        assert _main(["concentration", "--n", "1000", "--out", out]) == 0
-        manifests.append((tmp_path / "r.manifest.json").read_bytes())
-    assert manifests[0] == manifests[1]
-    assert json.loads(manifests[0])["config"]["threads"] == 1
+
+    def run(*extra):
+        assert _main(["concentration", "--n", "1000", "--out", out,
+                      *extra]) == 0
+        return out.read_bytes(), (tmp_path / "r.manifest.json").read_bytes()
+
+    monkeypatch.delenv("DSTSP_LAB_THREADS", raising=False)
+    plain = run()
+    monkeypatch.setenv("DSTSP_LAB_THREADS", "zebra")
+    assert run("--threads", 3) == plain
+    assert "threads" not in json.loads(plain[1])["config"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("delta", "fast"), ("zeta", None), ("eps0", "x"), ("n", ["a"]),
+    ("n", [None]), ("seed", None), ("seeds", "many"),
+    ("assert_checks", "no"), ("assert_checks", 1), ("threads", 2),
+])
+def test_config_file_values_of_the_wrong_type_are_config_errors(
+        tmp_path, capsys, field, value):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({field: value}))
+    assert _main(["concentration", "--config", cfgfile,
+                  "--out", tmp_path / "r.csv"]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_main_reports_config_errors_as_exit_2(tmp_path, capsys):
@@ -428,13 +439,13 @@ def test_manifest_written_and_deterministic(tmp_path):
 
 def test_manifest_config_digest_ignores_execution_fields(tmp_path):
     digests = []
-    for threads in (1, 2):
-        out = tmp_path / f"t{threads}" / "r.csv"
+    for tag in ("a", "b"):
+        out = tmp_path / tag / "r.csv"
         out.parent.mkdir()
         assert _main(["run-dstsp", "--n", "64", "--seeds", "1",
-                      "--threads", threads, "--out", out]) == 0
+                      "--out", out]) == 0
         man = json.loads((out.parent / "r.manifest.json").read_text())
-        assert man["config"]["threads"] == threads
+        assert man["config"]["out"] == str(out)
         digests.append(man["inputs"]["resolved_config"])
     assert digests[0] == digests[1]
 
@@ -466,8 +477,13 @@ def test_assert_failures_exit_nonzero(tmp_path, monkeypatch, capsys):
 
 
 def test_console_entry_point_runs():
+    # the package's src directory on the child's path, as pytest's
+    # pythonpath setting does not reach a subprocess
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     r = subprocess.run([sys.executable, "-m", "dstsp_lab.cli", "--help"],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=env)
     assert r.returncode == 0
     for name in cli.SUBCOMMANDS:
         assert name in r.stdout

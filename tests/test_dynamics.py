@@ -186,7 +186,8 @@ def test_project():
 def test_steer_euclidean_distance():
     traj = dyn.steer(euclid2(), (0.0, 0.0), (3.0, 4.0))
     assert abs(traj.duration - 5.0) <= 1e-12
-    assert_config_close(euclid2(), traj.endpoint(), (3.0, 4.0))
+    assert_config_close(euclid2(), traj.configuration_at(math.inf),
+                        (3.0, 4.0))
 
 
 def test_steer_reeds_shepp_straight():
@@ -204,7 +205,7 @@ def test_steer_reeds_shepp_quarter_arc():
 def test_steer_to_point_diff_drive_rotate_translate():
     traj = dyn.steer_to_point(diffdrive(), (0.0, 0.0, 0.0), (1.0, 1.0))
     assert abs(traj.duration - (math.pi / 4 + math.sqrt(2.0))) <= 1e-9
-    end = traj.endpoint()
+    end = traj.configuration_at(math.inf)
     assert abs(end[0] - 1.0) <= 1e-9 and abs(end[1] - 1.0) <= 1e-9
 
 
@@ -212,7 +213,8 @@ def test_steer_scaled_grid_time():
     model = scaled(two_speed_field())
     traj = dyn.steer(model, (0.5, 0.25), (1.5, 0.25))
     assert abs(traj.duration - 0.75) <= 1e-12
-    assert_config_close(model, traj.endpoint(), (1.5, 0.25), tol=1e-9)
+    assert_config_close(model, traj.configuration_at(math.inf), (1.5, 0.25),
+                        tol=1e-9)
 
 
 def test_steer_zero_distance():
@@ -239,7 +241,7 @@ def test_steer_endpoint_reaches_goal():
             q0 = random_config(model, rng)
             q1 = random_config(model, rng)
             traj = dyn.steer(model, q0, q1)
-            assert_config_close(model, traj.endpoint(), q1)
+            assert_config_close(model, traj.configuration_at(math.inf), q1)
 
 
 def test_steer_symmetry():
@@ -261,10 +263,10 @@ def test_steer_reeds_shepp_not_longer_than_random_trajectories():
         q0 = random_config(model, rng)
         budget = float(rng.uniform(0.3, 6.0))
         traj = random_bang_bang(model, q0, rng, budget)
-        q1 = traj.endpoint()
+        q1 = traj.configuration_at(math.inf)
         best = dyn.steer(model, q0, q1)
         assert best.duration <= budget + 1e-9
-        assert_config_close(model, best.endpoint(), q1)
+        assert_config_close(model, best.configuration_at(math.inf), q1)
 
 
 def test_steer_reeds_shepp_at_least_euclidean():
@@ -321,7 +323,7 @@ def test_reverse_straight_segment():
     traj = dyn.steer(euclid2(), (0.0, 0.0), (1.0, 0.0))
     rev = dyn.reverse_trajectory(traj)
     assert rev.start == (1.0, 0.0)
-    assert_config_close(euclid2(), rev.endpoint(), (0.0, 0.0))
+    assert_config_close(euclid2(), rev.configuration_at(math.inf), (0.0, 0.0))
     assert abs(rev.duration - traj.duration) <= 1e-12
 
 
@@ -341,7 +343,7 @@ def test_reverse_reeds_shepp_arc():
     rev = dyn.reverse_trajectory(traj)
     assert rev.segments[0][0] == (-1.0, 1.0)
     assert abs(rev.duration - 0.8) <= 1e-12
-    assert_config_close(model, rev.endpoint(), (0.0, 0.0, 0.0))
+    assert_config_close(model, rev.configuration_at(math.inf), (0.0, 0.0, 0.0))
 
 
 def test_reverse_retraces_curve():

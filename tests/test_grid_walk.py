@@ -244,7 +244,7 @@ def test_grid_walk_matches_the_frozen_loops(walk):
     if want is not None:
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
     assert all(d >= 0.0 for _, d in traj.segments)
-    end = traj.endpoint()
+    end = traj.configuration_at(math.inf)
     assert max(abs(a - b) for a, b in zip(end, q1)) <= 1e-9
 
 
@@ -258,7 +258,8 @@ def test_grid_walk_crosses_planes_that_round_down():
                               (0.3, 0.1)) is None
     traj = dyn.steer(model, (0.1, 0.1), (0.3, 0.1))
     assert [d for _, d in traj.segments] == pytest.approx([0.075, 0.0625])
-    assert traj.endpoint() == pytest.approx((0.3, 0.1), abs=1e-12)
+    assert traj.configuration_at(math.inf) == pytest.approx((0.3, 0.1),
+                                                         abs=1e-12)
     end = dyn.integrate(model, (0.1, 0.1), (1.0, 0.0), 0.075 + 0.0625)
     assert end == pytest.approx((0.3, 0.1), abs=1e-12)
 
@@ -272,7 +273,8 @@ def test_grid_walk_on_cell_corners_and_planes():
         traj = dyn.steer(model, q0, q1)
         assert_same_steer(model, q0, q1, traj,
                           reference_steer_scaled(model, q0, q1))
-        assert traj.endpoint() == pytest.approx(q1, abs=1e-12)
+        assert traj.configuration_at(math.inf) == pytest.approx(
+            q1, abs=1e-12)
         for control in [(1.0, 0.0), (0.0, -1.0), (-0.6, 0.8), (0.0, 0.0)]:
             got = dyn.integrate(model, q0, control, 0.7)
             want = reference_march_scaled(model, q0, control, 0.7)
@@ -296,7 +298,8 @@ def test_grid_walk_crosses_the_outside_of_a_fine_field_in_one_step():
         assert len(traj.segments) == 1
         assert traj.duration == pytest.approx(
             math.dist(q0, q1) / (1.5 * sigma), rel=1e-12)
-        assert traj.endpoint() == pytest.approx(q1, abs=1e-12)
+        assert traj.configuration_at(math.inf) == pytest.approx(
+            q1, abs=1e-12)
     end = dyn.integrate(model, (0.5, 0.5), (0.6, -0.8), 0.5)
     assert end == pytest.approx((0.725, 0.2), abs=1e-12)
     # lines moving away from a coarse field, starting outside it
@@ -309,4 +312,5 @@ def test_grid_walk_crosses_the_outside_of_a_fine_field_in_one_step():
     # a line through the field: one step to its edge, the cells, one step out
     traj = dyn.steer(model, (-1.0, -1.0), (1.0, 1.0))
     assert len(traj.segments) <= 8
-    assert traj.endpoint() == pytest.approx((1.0, 1.0), abs=1e-12)
+    assert traj.configuration_at(math.inf) == pytest.approx((1.0, 1.0),
+                                                         abs=1e-12)

@@ -1,5 +1,6 @@
 """Tree collection: cost rules, constructive solver vs exhaustive oracle."""
 
+import gc
 import math
 import random
 import re
@@ -126,6 +127,21 @@ def test_empty_instance_returns_empty_plan():
     plan = hcp.construct_optimal_plan(i)
     assert plan == []
     assert hcp.plan_cost(plan, i) == 0.0
+
+
+def test_building_plans_leaves_no_garbage_cycles():
+    # solve_dstsp builds thousands of small plans; a cycle per plan would
+    # be left for the cyclic collector to find
+    instances = [inst(4, 2, [(k % 4, k // 4) for k in range(n)])
+                 for n in range(3, 13)]
+    gc.collect()
+    gc.disable()
+    try:
+        for i in instances:
+            hcp.construct_optimal_plan(i)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------- brute oracle
