@@ -19,11 +19,14 @@ unit ball); the model's limits scale them to physical rates.
 
 make_model resolves sigma once, to a float or a GridField, and everything
 else reads model.sigma as it is. On a gridded field, steer and integrate
-share one walk over the cells a line crosses (_cells_along).
+share one walk over the cells a line crosses (_cells_along). The car's
+steer takes an optional word memo (a dict its caller owns) that keeps each
+canonical goal's segments, so a goal is priced once per memo.
 """
 
 import math
 import numbers
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +41,12 @@ _CTRL_TOL = 1e-9
 _MAX_MARCH_STEPS = 100_000
 # final headings a heading-free car steer tries, besides the start heading
 _HEADINGS = 16
+# the car's control per word element (gear, steering), shared by every
+# segment, and the key of a canonical goal: its bits, so that 0.0 and -0.0
+# stay apart
+_CAR_CONTROLS = {(gear, steer): (float(gear), float(steer))
+                 for gear in (-1, 1) for steer in (-1, 0, 1)}
+_GOAL_BITS = struct.Struct("3d").pack
 
 MODEL_IDS = ("euclidean2", "euclidean3", "scaled_euclidean2",
              "reeds_shepp", "diff_drive")
@@ -309,7 +318,14 @@ def _steer_straight(model, q0, q1):
     return Trajectory(model, p0, tuple(segments))
 
 
-def _steer_reeds_shepp(model, q0, q1):
+def _car_segments(model, x, y, phi):
+    # the shortest word to a canonical goal, as timed segments
+    unit = model.r_min / model.c_pi
+    return tuple((_CAR_CONTROLS[gear, steer], param * unit)
+                 for param, steer, gear in rs.shortest_word(x, y, phi))
+
+
+def _steer_reeds_shepp(model, q0, q1, words=None):
     # canonical frame: origin at q0 facing +x, lengths in turning radii
     th0 = float(q0[2])
     dx = float(q1[0]) - float(q0[0])
@@ -317,10 +333,13 @@ def _steer_reeds_shepp(model, q0, q1):
     x = (dx * math.cos(th0) + dy * math.sin(th0)) / model.r_min
     y = (-dx * math.sin(th0) + dy * math.cos(th0)) / model.r_min
     phi = rs.wrap_pi(float(q1[2]) - th0)
-    word = rs.shortest_word(x, y, phi)
-    unit = model.r_min / model.c_pi
-    segments = tuple(((float(gear), float(steer)), param * unit)
-                     for param, steer, gear in word)
+    if words is None:
+        segments = _car_segments(model, x, y, phi)
+    else:
+        key = _GOAL_BITS(x, y, phi)
+        segments = words.get(key)
+        if segments is None:
+            segments = words[key] = _car_segments(model, x, y, phi)
     start = (float(q0[0]), float(q0[1]), norm_angle(th0))
     return Trajectory(model, start, segments)
 
@@ -363,14 +382,19 @@ def _steer_diff_drive(model, q0, q1, final_heading=True):
     return best
 
 
-def steer(model, q0, q1):
+def steer(model, q0, q1, words=None):
     """Trajectory from q0 to q1; optimal for every model except the scaled
-    one, where the straight line is an admissible upper bound."""
+    one, where the straight line is an admissible upper bound.
+
+    words, where given, is a dict that memoizes the car's segments by the
+    exact bits of the canonical goal, so that a goal priced once is never
+    priced again; the other models ignore it.
+    """
     mid = model.model_id
     if mid in ("euclidean2", "euclidean3", "scaled_euclidean2"):
         return _steer_straight(model, q0, q1)
     if mid == "reeds_shepp":
-        return _steer_reeds_shepp(model, q0, q1)
+        return _steer_reeds_shepp(model, q0, q1, words)
     if mid == "diff_drive":
         return _steer_diff_drive(model, q0, q1)
     raise ConfigError(f"unknown model {mid!r}")

@@ -430,7 +430,7 @@ def _two_opt(order, leg, pts, per_length, shrink=0.0, exact=None,
     return moves
 
 
-def roots_tour(model, anchors, counters=None, timings=None):
+def roots_tour(model, anchors, counters=None, timings=None, words=None):
     """Open path through the anchors, nearest neighbor then 2-opt, as a
     list of indices into anchors.
 
@@ -443,7 +443,8 @@ def roots_tour(model, anchors, counters=None, timings=None):
     "two_opt_moves", the nearest-neighbour steps decided by a ring search
     as "nn_fallbacks" (every step, for models without a closed form) and
     the steer calls as "steers". timings, where given, is a dict that gets
-    the perf_counter seconds of "nn_order" and "two_opt".
+    the perf_counter seconds of "nn_order" and "two_opt". words is the
+    car's word memo that dyn.steer fills; a call without one gets its own.
     """
     m = len(anchors)
     if m == 0:
@@ -479,13 +480,15 @@ def roots_tour(model, anchors, counters=None, timings=None):
         if isinstance(anchors, np.ndarray):
             anchors = list(map(tuple, anchors.tolist()))
         cache = {}
+        if words is None:
+            words = {}
 
         def leg(i, j):
             key = (i, j) if i <= j else (j, i)
             t = cache.get(key)
             if t is None:
                 t = cache[key] = dyn.steer(model, anchors[key[0]],
-                                           anchors[key[1]]).duration
+                                           anchors[key[1]], words).duration
             return t
 
         per_length = 1.0 / model.speed_limit()
@@ -514,7 +517,7 @@ def roots_tour(model, anchors, counters=None, timings=None):
 
 
 def _realize_root(model, child, anchor, plan, leaves, config, t0, segments,
-                  visited):
+                  visited, words):
     """Realize one root's collection plan from the root's anchor, starting
     at time t0; returns the piece's duration. The piece starts and ends at
     the root anchor.
@@ -523,7 +526,7 @@ def _realize_root(model, child, anchor, plan, leaves, config, t0, segments,
     k-th path and config(tid, at) the configuration that visits target tid
     from the cell anchored at at. Cells are anchors only, built as the plan
     enters them. The segments go onto segments and (tid, t0 + visit time
-    in the piece) onto visited.
+    in the piece) onto visited. words is the car's word memo.
     """
     steer = dyn.steer
     stack = [anchor]
@@ -538,7 +541,7 @@ def _realize_root(model, child, anchor, plan, leaves, config, t0, segments,
             nxt = stack[-1]
         else:
             for tid in leaves[action[1]]:
-                out = steer(model, at, config(tid, at))
+                out = steer(model, at, config(tid, at), words)
                 # out and back the same way: fsum rounds correctly, so the
                 # way back takes out's duration again
                 d = out.duration
@@ -548,7 +551,7 @@ def _realize_root(model, child, anchor, plan, leaves, config, t0, segments,
                 segments.extend(dyn.reversed_segments(model, out.segments))
                 t += d
             continue
-        traj = steer(model, at, nxt)
+        traj = steer(model, at, nxt, words)
         segments.extend(traj.segments)
         t += traj.duration
     if len(stack) != 1:
@@ -594,7 +597,12 @@ def solve_dstsp(model, cover, targets, with_info=False):
     collection plans) and realize (the rest of the per-root loop); and
     "counters": occupied roots, plans built (one per distinct set of paths
     in a root), 2-opt moves, nn_fallbacks (nearest-neighbour steps decided
-    by a ring search) and steers (steer calls).
+    by a ring search), steers (steer calls) and words (the distinct car
+    words priced, 0 for the other models).
+
+    The car's steers share one word memo (dyn.steer's words), which lives
+    as long as the call: the roots tour, the legs between roots and the
+    realization of each root price each canonical goal once.
     """
     if not model.symmetric:
         raise NotSymmetric("tour realization reverses steers")
@@ -608,7 +616,7 @@ def solve_dstsp(model, cover, targets, with_info=False):
                               _STAGES + _ROOTS_TOUR_STAGES, 0.0),
                           "counters": {"occupied_roots": 0, "plans_built": 0,
                                        "two_opt_moves": 0, "nn_fallbacks": 0,
-                                       "steers": 0}}
+                                       "steers": 0, "words": 0}}
         return tour
     if with_info:
         clock = [time.perf_counter()]
@@ -623,7 +631,8 @@ def solve_dstsp(model, cover, targets, with_info=False):
 
     counters = {} if with_info else None
     timings = {} if with_info else None
-    order = roots_tour(model, anchors, counters, timings)
+    words = {}
+    order = roots_tour(model, anchors, counters, timings, words)
     config_dim = anchors.shape[1]
     anchors = memoryview(anchors.ravel())
     if with_info:
@@ -644,7 +653,7 @@ def solve_dstsp(model, cover, targets, with_info=False):
     for k in order:
         anchor = tuple(anchors[k * config_dim:(k + 1) * config_dim])
         if prev_anchor is not None:
-            leg = dyn.steer(model, prev_anchor, anchor)
+            leg = dyn.steer(model, prev_anchor, anchor, words)
             segments.extend(leg.segments)
             t += leg.duration
             c_eps0 += leg.duration
@@ -665,7 +674,7 @@ def solve_dstsp(model, cover, targets, with_info=False):
             uses[key] = uses.get(key, 0) + 1
         leaves = [ids[bounds[g]:bounds[g + 1]] for g in range(first, stop)]
         t += _realize_root(model, child, anchor, plan, leaves, config, t,
-                           segments, visited)
+                           segments, visited, words)
         prev_anchor = anchor
 
     tour = Tour(dyn.Trajectory(model, start, tuple(segments)),
@@ -676,7 +685,7 @@ def solve_dstsp(model, cover, targets, with_info=False):
                     for p, n in uses.items())
         counters.update(occupied_roots=len(occupied), plans_built=len(plans),
                         steers=counters["steers"] + len(order) - 1
-                        + len(pts) + moves)
+                        + len(pts) + moves, words=len(words))
         loop = clock[3] - clock[2]
         timings.update(locate=clock[1] - clock[0],
                        roots_tour=clock[2] - clock[1],

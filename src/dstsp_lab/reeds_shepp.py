@@ -1,22 +1,33 @@
 """Shortest bidirectional-car words between planar configurations.
 
 Classic closed-form families for a unit-turning-radius car that drives both
-forwards and backwards at unit speed. Each family is produced in a canonical
-frame (start at the origin facing +x, goal scaled by the turning radius) and
-expanded through the timeflip/reflect symmetries into the full word set.
-shortest_word prices every candidate, then re-integrates them in closed form,
-shortest first, and returns the first that lands on the goal: a formula glitch
-can never corrupt the minimum, and the words longer than the answer are never
-integrated.
+forwards and backwards at unit speed (Reeds and Shepp, 1990). Each family is
+produced in a canonical frame (start at the origin facing +x, goal scaled by
+the turning radius) and expanded through the timeflip/reflect symmetries
+into the full word set.
+
+shortest_word works in two passes. Pricing: per symmetry variant it
+computes the goal's two circle frames once, each with its polar coordinates,
+and every family's raw parameters from them (families that share terms
+compute them once); a candidate's length is the sum of its parameters of
+magnitude above _EPS, and no word is built. Validation: shortest first, ties
+to the earlier family then variant, it builds each candidate's word,
+re-integrates it in closed form and returns the first that lands on the
+goal. So a formula glitch can never corrupt the minimum, and the words
+longer than the answer are never built. Within one tour solve,
+dynamics.steer memoizes the words by their canonical goal, so each distinct
+goal is priced here once.
 
 A word element is (param, steering, gear): param >= 0 is the arc angle (turns)
 or normalized length (straights), steering is +1 left / 0 straight / -1 right,
 gear is +1 forward / -1 backward.
 """
 
+import heapq
 import math
 
 _TWO_PI = 2.0 * math.pi
+_HALF_PI = math.pi / 2.0
 _EPS = 1e-9
 
 
@@ -40,200 +51,109 @@ def _clamped_asin(v):
     return math.asin(min(1.0, max(-1.0, v)))
 
 
-def _el(param, steering, gear):
-    # negative params flip gear, matching the source formulas' convention
-    if param < 0:
-        return (-param, steering, -gear)
-    return (param, steering, gear)
-
-
-# Each family returns a list of elements or None when the goal is outside its
-# validity region. L = steering +1, R = -1, S = 0; F = gear +1, B = -1.
-
-def _csc_same(x, y, phi):
-    u, t = polar(x - math.sin(phi), y - 1.0 + math.cos(phi))
-    v = wrap_pi(phi - t)
-    return [_el(t, 1, 1), _el(u, 0, 1), _el(v, 1, 1)]
-
-
-def _csc_opposite(x, y, phi):
-    rho, t1 = polar(x + math.sin(phi), y - 1.0 - math.cos(phi))
-    if rho * rho < 4.0:
-        return None
-    u = math.sqrt(rho * rho - 4.0)
-    t = wrap_pi(t1 + math.atan2(2.0, u))
-    v = wrap_pi(t - phi)
-    return [_el(t, 1, 1), _el(u, 0, 1), _el(v, -1, 1)]
-
-
-def _c_c_c(x, y, phi):
-    rho, theta = polar(x - math.sin(phi), y - 1.0 + math.cos(phi))
-    if rho > 4.0:
-        return None
-    a = _clamped_acos(rho / 4.0)
-    t = wrap_pi(theta + math.pi / 2.0 + a)
-    u = wrap_pi(math.pi - 2.0 * a)
-    v = wrap_pi(phi - t - u)
-    return [_el(t, 1, 1), _el(u, -1, -1), _el(v, 1, 1)]
-
-
-def _c_cc(x, y, phi):
-    rho, theta = polar(x - math.sin(phi), y - 1.0 + math.cos(phi))
-    if rho > 4.0:
-        return None
-    a = _clamped_acos(rho / 4.0)
-    t = wrap_pi(theta + math.pi / 2.0 + a)
-    u = wrap_pi(math.pi - 2.0 * a)
-    v = wrap_pi(t + u - phi)
-    return [_el(t, 1, 1), _el(u, -1, -1), _el(v, 1, -1)]
-
-
-def _cc_c(x, y, phi):
-    rho, theta = polar(x - math.sin(phi), y - 1.0 + math.cos(phi))
-    if rho > 4.0:
-        return None
-    u = _clamped_acos(1.0 - rho * rho / 8.0)
-    if rho < _EPS:
-        return None
-    a = _clamped_asin(2.0 * math.sin(u) / rho)
-    t = wrap_pi(theta + math.pi / 2.0 - a)
-    v = wrap_pi(t - u - phi)
-    return [_el(t, 1, 1), _el(u, -1, 1), _el(v, 1, -1)]
-
-
-def _ccu_cuc(x, y, phi):
-    rho, theta = polar(x + math.sin(phi), y - 1.0 - math.cos(phi))
-    if rho > 4.0:
-        return None
-    if rho <= 2.0:
-        a = _clamped_acos((rho + 2.0) / 4.0)
-        t = wrap_pi(theta + math.pi / 2.0 + a)
-        u = wrap_pi(a)
-    else:
-        a = _clamped_acos((rho - 2.0) / 4.0)
-        t = wrap_pi(theta + math.pi / 2.0 - a)
-        u = wrap_pi(math.pi - a)
-    v = wrap_pi(phi - t + 2.0 * u)
-    return [_el(t, 1, 1), _el(u, -1, 1), _el(u, 1, -1), _el(v, -1, -1)]
-
-
-def _c_cucu_c(x, y, phi):
-    rho, theta = polar(x + math.sin(phi), y - 1.0 - math.cos(phi))
-    if rho > 6.0:
-        return None
-    u1 = (20.0 - rho * rho) / 16.0
-    if u1 < 0.0 or u1 > 1.0:
-        return None
-    u = _clamped_acos(u1)
-    if rho < _EPS:
-        return None
-    a = _clamped_asin(2.0 * math.sin(u) / rho)
-    t = wrap_pi(theta + math.pi / 2.0 + a)
-    v = wrap_pi(t - phi)
-    return [_el(t, 1, 1), _el(u, -1, -1), _el(u, 1, -1), _el(v, -1, 1)]
-
-
-def _c_chalfpi_sc(x, y, phi):
-    rho, theta = polar(x - math.sin(phi), y - 1.0 + math.cos(phi))
-    if rho < 2.0:
-        return None
-    u = math.sqrt(rho * rho - 4.0) - 2.0
-    a = math.atan2(2.0, u + 2.0)
-    t = wrap_pi(theta + math.pi / 2.0 + a)
-    v = wrap_pi(t - phi + math.pi / 2.0)
-    return [
-        _el(t, 1, 1),
-        _el(math.pi / 2.0, -1, -1),
-        _el(u, 0, -1),
-        _el(v, 1, -1),
-    ]
-
-
-def _cs_chalfpi_c(x, y, phi):
-    rho, theta = polar(x - math.sin(phi), y - 1.0 + math.cos(phi))
-    if rho < 2.0:
-        return None
-    u = math.sqrt(rho * rho - 4.0) - 2.0
-    a = math.atan2(u + 2.0, 2.0)
-    t = wrap_pi(theta + math.pi / 2.0 - a)
-    v = wrap_pi(t - phi - math.pi / 2.0)
-    return [
-        _el(t, 1, 1),
-        _el(u, 0, 1),
-        _el(math.pi / 2.0, -1, 1),
-        _el(v, 1, -1),
-    ]
-
-
-def _c_chalfpi_sc2(x, y, phi):
-    rho, theta = polar(x + math.sin(phi), y - 1.0 - math.cos(phi))
-    if rho < 2.0:
-        return None
-    t = wrap_pi(theta + math.pi / 2.0)
-    u = rho - 2.0
-    v = wrap_pi(phi - t - math.pi / 2.0)
-    return [
-        _el(t, 1, 1),
-        _el(math.pi / 2.0, -1, -1),
-        _el(u, 0, -1),
-        _el(v, -1, -1),
-    ]
-
-
-def _cs_chalfpi_c2(x, y, phi):
-    rho, theta = polar(x + math.sin(phi), y - 1.0 - math.cos(phi))
-    if rho < 2.0:
-        return None
-    t = wrap_pi(theta)
-    u = rho - 2.0
-    v = wrap_pi(phi - t - math.pi / 2.0)
-    return [
-        _el(t, 1, 1),
-        _el(u, 0, 1),
-        _el(math.pi / 2.0, 1, 1),
-        _el(v, -1, -1),
-    ]
-
-
-def _c_chalfpi_s_chalfpi_c(x, y, phi):
-    rho, theta = polar(x + math.sin(phi), y - 1.0 - math.cos(phi))
-    if rho < 4.0:
-        return None
-    u = math.sqrt(rho * rho - 4.0) - 4.0
-    a = math.atan2(2.0, u + 4.0)
-    t = wrap_pi(theta + math.pi / 2.0 + a)
-    v = wrap_pi(t - phi)
-    return [
-        _el(t, 1, 1),
-        _el(math.pi / 2.0, -1, -1),
-        _el(u, 0, -1),
-        _el(math.pi / 2.0, 1, -1),
-        _el(v, -1, 1),
-    ]
-
-
-_FAMILIES = (
-    _csc_same,
-    _csc_opposite,
-    _c_c_c,
-    _c_cc,
-    _cc_c,
-    _ccu_cuc,
-    _c_cucu_c,
-    _c_chalfpi_sc,
-    _cs_chalfpi_c,
-    _c_chalfpi_sc2,
-    _cs_chalfpi_c2,
-    _c_chalfpi_s_chalfpi_c,
+# The families, in tie-break order, by the (steering, gear) of their
+# elements: L = steering +1, R = -1, S = 0; F = gear +1, B = -1. A negative
+# raw parameter flips its element's gear.
+_SHAPES = (
+    ((1, 1), (0, 1), (1, 1)),                           # C S C, same turns
+    ((1, 1), (0, 1), (-1, 1)),                          # C S C, opposite
+    ((1, 1), (-1, -1), (1, 1)),                         # C|C|C
+    ((1, 1), (-1, -1), (1, -1)),                        # C|C C
+    ((1, 1), (-1, 1), (1, -1)),                         # C C|C
+    ((1, 1), (-1, 1), (1, -1), (-1, -1)),               # C Cu|Cu C
+    ((1, 1), (-1, -1), (1, -1), (-1, 1)),               # C|Cu Cu|C
+    ((1, 1), (-1, -1), (0, -1), (1, -1)),               # C|C(pi/2) S C
+    ((1, 1), (0, 1), (-1, 1), (1, -1)),                 # C S C(pi/2)|C
+    ((1, 1), (-1, -1), (0, -1), (-1, -1)),              # C|C(pi/2) S C
+    ((1, 1), (0, 1), (1, 1), (-1, -1)),                 # C S C(pi/2)|C
+    ((1, 1), (-1, -1), (0, -1), (1, -1), (-1, 1)),      # C|C(pi/2) S C(pi/2)|C
 )
+_VARIANTS = 4    # as is, timeflip, reflect, both
+# whether a parameter's magnitude counts towards a candidate's length
+_ABOVE_EPS = _EPS.__lt__
 
 
-def _timeflip(word):
-    return [(p, st, -g) for p, st, g in word]
+def _family_params(x, y, phi):
+    """(family, raw parameters) of every family valid at the goal
+    (x, y, phi), the parameters in _SHAPES order. Families that share a
+    term compute it once."""
+    sin_phi = math.sin(phi)
+    cos_phi = math.cos(phi)
+    found = []
+    # from the centre of the start's left turning circle, (0, 1), to the
+    # centre of the goal's left one
+    rho, theta = polar(x - sin_phi, y - 1.0 + cos_phi)
+    found.append((0, (theta, rho, wrap_pi(phi - theta))))
+    if rho <= 4.0:
+        a = _clamped_acos(rho / 4.0)
+        t = wrap_pi(theta + _HALF_PI + a)
+        u = wrap_pi(math.pi - 2.0 * a)
+        found.append((2, (t, u, wrap_pi(phi - t - u))))
+        found.append((3, (t, u, wrap_pi(t + u - phi))))
+        u = _clamped_acos(1.0 - rho * rho / 8.0)
+        if rho >= _EPS:
+            a = _clamped_asin(2.0 * math.sin(u) / rho)
+            t = wrap_pi(theta + _HALF_PI - a)
+            found.append((4, (t, u, wrap_pi(t - u - phi))))
+    if rho >= 2.0:
+        u = math.sqrt(rho * rho - 4.0) - 2.0
+        a = math.atan2(2.0, u + 2.0)
+        t = wrap_pi(theta + _HALF_PI + a)
+        found.append((7, (t, _HALF_PI, u, wrap_pi(t - phi + _HALF_PI))))
+        a = math.atan2(u + 2.0, 2.0)
+        t = wrap_pi(theta + _HALF_PI - a)
+        found.append((8, (t, u, _HALF_PI, wrap_pi(t - phi - _HALF_PI))))
+    # ... and to the centre of the goal's right one
+    rho, theta = polar(x + sin_phi, y - 1.0 - cos_phi)
+    if rho * rho >= 4.0:
+        root = math.sqrt(rho * rho - 4.0)
+        t = wrap_pi(theta + math.atan2(2.0, root))
+        found.append((1, (t, root, wrap_pi(t - phi))))
+        if rho >= 4.0:
+            u = root - 4.0
+            a = math.atan2(2.0, u + 4.0)
+            t = wrap_pi(theta + _HALF_PI + a)
+            found.append((11, (t, _HALF_PI, u, _HALF_PI, wrap_pi(t - phi))))
+    if rho <= 4.0:
+        if rho <= 2.0:
+            a = _clamped_acos((rho + 2.0) / 4.0)
+            t = wrap_pi(theta + _HALF_PI + a)
+            u = wrap_pi(a)
+        else:
+            a = _clamped_acos((rho - 2.0) / 4.0)
+            t = wrap_pi(theta + _HALF_PI - a)
+            u = wrap_pi(math.pi - a)
+        found.append((5, (t, u, u, wrap_pi(phi - t + 2.0 * u))))
+    if rho <= 6.0:
+        u1 = (20.0 - rho * rho) / 16.0
+        if 0.0 <= u1 <= 1.0 and rho >= _EPS:
+            u = _clamped_acos(u1)
+            a = _clamped_asin(2.0 * math.sin(u) / rho)
+            t = wrap_pi(theta + _HALF_PI + a)
+            found.append((6, (t, u, u, wrap_pi(t - phi))))
+    if rho >= 2.0:
+        u = rho - 2.0
+        t = wrap_pi(theta + _HALF_PI)
+        found.append((9, (t, _HALF_PI, u, wrap_pi(phi - t - _HALF_PI))))
+        t = wrap_pi(theta)
+        found.append((10, (t, u, _HALF_PI, wrap_pi(phi - t - _HALF_PI))))
+    return found
 
 
-def _reflect(word):
-    return [(p, -st, g) for p, st, g in word]
+def _word(key, params):
+    """The word of a priced candidate: its elements above _EPS, gears
+    flipped where a parameter is negative and for the timeflip variants,
+    steering mirrored for the reflect variants."""
+    family, variant = divmod(key, _VARIANTS)
+    flip = -1 if variant & 1 else 1
+    mirror = -1 if variant & 2 else 1
+    word = []
+    for param, (steering, gear) in zip(params, _SHAPES[family]):
+        if param < 0:
+            param, gear = -param, -gear
+        if param > _EPS:
+            word.append((param, mirror * steering, flip * gear))
+    return word
 
 
 def integrate_word(word, x=0.0, y=0.0, theta=0.0):
@@ -270,28 +190,16 @@ def shortest_word(x, y, phi):
     is priced first; they are validated shortest first, and the first that
     lands is the answer.
     """
-    variants = (
-        (x, y, phi, False, False),
-        (-x, y, -phi, True, False),     # timeflip
-        (x, -y, -phi, False, True),     # reflect
-        (-x, -y, phi, True, True),      # both
-    )
-    candidates = []
-    for family in _FAMILIES:
-        for vx, vy, vphi, flip, mirror in variants:
-            word = family(vx, vy, vphi)
-            if word is None:
-                continue
-            # word_length of the word without its elements of at most _EPS
-            length = sum([p for p, _, _ in word if p > _EPS])
-            candidates.append((length, len(candidates), word, flip, mirror))
-    candidates.sort()   # by (length, generation index), which are unique
-    for _, _, word, flip, mirror in candidates:
-        word = [e for e in word if e[0] > _EPS]
-        if flip:
-            word = _timeflip(word)
-        if mirror:
-            word = _reflect(word)
+    goals = ((x, y, phi), (-x, y, -phi), (x, -y, -phi), (-x, -y, phi))
+    candidates = [
+        (sum(filter(_ABOVE_EPS, map(abs, params))),
+         family * _VARIANTS + variant, params)
+        for variant, goal in enumerate(goals)
+        for family, params in _family_params(*goal)]
+    heapq.heapify(candidates)   # by (length, tie key), which are unique
+    while candidates:
+        _, key, params = heapq.heappop(candidates)
+        word = _word(key, params)
         if _lands_on(word, x, y, phi):
             return word
     raise RuntimeError(

@@ -12,6 +12,7 @@ import pytest
 from dstsp_lab import dynamics as dyn
 from dstsp_lab import hcs
 from dstsp_lab import planner
+from dstsp_lab import reeds_shepp as rs
 from dstsp_lab.errors import (NotSymmetric, OutOfSupport, TargetOutsideCover,
                               TooLarge)
 from dstsp_lab.seeding import make_rng
@@ -109,10 +110,14 @@ def test_with_info_gives_the_same_tour_and_times_its_stages():
     assert 0 < counters["plans_built"] < counters["occupied_roots"]
     assert counters["two_opt_moves"] > 0
     assert 0 < counters["nn_fallbacks"] < counters["occupied_roots"] // 4
+    # only the car prices words
+    assert counters["words"] == 0
     _, one = planner.solve_dstsp(E2, cov, pts[:1], with_info=True)
     assert one["counters"] == {"occupied_roots": 1, "plans_built": 1,
                                "two_opt_moves": 0, "nn_fallbacks": 0,
-                               "steers": 1}
+                               "steers": 1, "words": 0}
+    _, none = planner.solve_dstsp(E2, cov, pts[:0], with_info=True)
+    assert set(none["counters"]) == set(counters)
 
 
 @pytest.mark.parametrize("model", [E2, RS])
@@ -130,6 +135,28 @@ def test_with_info_counts_every_steer(model):
     with mock.patch.object(dyn, "steer", counted):
         _, info = planner.solve_dstsp(model, cov, pts, with_info=True)
     assert info["counters"]["steers"] == len(calls)
+
+
+def test_car_word_memo_lives_for_one_solve():
+    pts = uniform_targets(300, 2)
+    cov = hcs.build_cover(RS, SQ, planner.default_eps0(300, 3))
+    priced = []
+    shortest_word = rs.shortest_word
+
+    def counted(*args):
+        priced.append(args)
+        return shortest_word(*args)
+
+    with mock.patch.object(rs, "shortest_word", counted):
+        first = planner.solve_dstsp(RS, cov, pts)
+        once = len(priced)
+        second, info = planner.solve_dstsp(RS, cov, pts, with_info=True)
+    # the second solve prices every word again: no memo outlives a solve
+    assert second == first
+    assert len(priced) == 2 * once
+    # each canonical goal is priced once, and goals repeat on the lattice
+    assert info["counters"]["words"] == once == len(set(priced[once:]))
+    assert once < info["counters"]["steers"]
 
 
 def test_default_path_reads_no_clock():

@@ -752,6 +752,8 @@ def test_lean_realization_matches_reference(name):
         for cov in covers:
             child = hcs.ChildAnchors(model, cov.eps0, cov.s)
             plans = {}
+            # one word memo for the cover's roots, as solve_dstsp shares it
+            words = {}
             for root, groups in _reference_groups(cov, pts).items():
                 segs, visits, dur, plan = reference_realize_root(
                     model, cov, root, groups, point, plans)
@@ -759,5 +761,5 @@ def test_lean_realization_matches_reference(name):
                 got = planner._realize_root(
                     model, child, cov.roots[root].anchor, plan,
                     [groups[p] for p in sorted(groups)], config, 0.0,
-                    got_segs, got_visits)
+                    got_segs, got_visits, words)
                 assert (got_segs, got_visits, got) == (segs, visits, dur)
